@@ -21,22 +21,15 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .eigenratio import eigenratio_elliptical, eigenratio_mc, pair_scores
 from .errors import PassFpcaError
-from .estimators import (
-    EigenSystem,
-    eigendecompose,
-    mspc,
-    pass_covariance,
-    sample_covariance,
-)
+from .estimators import EigenSystem
 from .grid import FunctionalSample, make_grid
-from .metrics import (
+from .metrics import config_label, run_benchmark
+from .pipeline import (
     EIGENFUNCTION_METHODS,
-    RATIO_METHODS,
+    Pipeline,
     SolverOptions,
-    config_label,
-    run_benchmark,
+    parse_method,
 )
 from .simulate import (
     OUTLIER_SCHEMES,
@@ -44,14 +37,7 @@ from .simulate import (
     SimulationConfig,
     generate,
 )
-from .smoothing import (
-    SCHEME_PRE_SMOOTH,
-    SCHEME_SMOOTH_CF,
-    SmoothingSpec,
-    presmooth,
-    remove_diagonal,
-    smooth_surface,
-)
+from .smoothing import SCHEME_PRE_SMOOTH, SCHEME_SMOOTH_CF
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,6 +100,7 @@ def read_curves_csv(path: str) -> FunctionalSample:
                 f"{path}:1: grid columns do not match the regular grid "
                 f"t_j = j/{n_points}")
         rows = []
+        line_nos = []
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue
@@ -127,9 +114,16 @@ def read_curves_csv(path: str) -> FunctionalSample:
                 raise _FormatError(
                     f"{path}:{line_no}: non-numeric curve value: {exc}"
                 ) from None
+            line_nos.append(line_no)
         if not rows:
             raise _FormatError(f"{path}: no curve rows found")
-    return FunctionalSample(grid=grid, values=np.array(rows))
+    values = np.array(rows)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise _FormatError(
+            f"{path}:{line_nos[int(np.argmin(finite))]}: curve values "
+            f"must be finite")
+    return FunctionalSample(grid=grid, values=values)
 
 
 def write_truth_csv(path: str, truth, grid) -> None:
@@ -172,22 +166,6 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _smoothed_sample(sample: FunctionalSample, smoothing: str,
-                     basis_size: int) -> FunctionalSample:
-    if smoothing == SCHEME_PRE_SMOOTH:
-        return presmooth(sample, SmoothingSpec(scheme=SCHEME_PRE_SMOOTH))
-    return sample
-
-
-def _estimate_surface(sample: FunctionalSample, family: str,
-                      smoothing: str, basis_size: int):
-    estimator = pass_covariance if family == "pass" else sample_covariance
-    if smoothing == SCHEME_SMOOTH_CF:
-        spec = SmoothingSpec(scheme=SCHEME_SMOOTH_CF, basis_size=basis_size)
-        return smooth_surface(remove_diagonal(estimator(sample)), spec)
-    return estimator(_smoothed_sample(sample, smoothing, basis_size))
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         n=args.n, n_points=args.n_points, score_law=args.law,
@@ -204,60 +182,48 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _method_id(base: str, smoothing: str) -> str:
+    """Method identifier for a base estimator under a ``--smoothing``
+    choice; a combination the pipeline has no variant for is a usage
+    of the wrong flags, reported as a format error."""
+    method = base if smoothing == "none" else f"{base}@{smoothing}"
+    try:
+        parse_method(method)
+    except PassFpcaError as exc:
+        raise _FormatError(str(exc)) from None
+    return method
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
+    method = _method_id(args.method, args.smoothing)
+    opts = SolverOptions(q=args.q, trim_fraction=args.trim, tol=args.tol,
+                         max_iter=args.max_iter, basis_size=args.basis_size)
     sample = read_curves_csv(args.input)
-    smoothing = args.smoothing
-    if args.method == "mspc":
-        if smoothing == SCHEME_SMOOTH_CF:
-            raise _FormatError(
-                "mspc has no surface-smoothing variant; use --smoothing "
-                "none or pre_smooth")
-        system = mspc(_smoothed_sample(sample, smoothing, args.basis_size),
-                      args.q)
-        ratios = None
-        solver_doc = None
-    else:
-        surface = _estimate_surface(sample, args.method, smoothing,
-                                    args.basis_size)
-        system = eigendecompose(surface, args.q)
-        if args.method == "classical":
-            ratios = system.eigenvalues / system.eigenvalues[0]
-            solver_doc = None
+    pipeline = Pipeline(sample, opts)
+    system = pipeline.evaluate(method)
+    ratios = solver_doc = None
+    if args.method == "classical":
+        ratios = system.eigenvalues / system.eigenvalues[0]
+    elif args.method == "pass":
+        solver_doc = {"method": "mc", "trim_fraction": args.trim}
+        # The ratio refinement is optional: a sample too small or too
+        # degenerate for the pair solver still has a usable surface.
+        try:
+            estimate = pipeline.evaluate(_method_id("pass_mc",
+                                                    args.smoothing))
+        except PassFpcaError as exc:
+            solver_doc.update(converged=False, error=str(exc))
         else:
-            fit_curves = (sample if smoothing == SCHEME_SMOOTH_CF
-                          else _smoothed_sample(sample, smoothing,
-                                                args.basis_size))
-            # The ratio refinement is optional: a sample too small or too
-            # degenerate for the pair solver still has a usable surface.
-            try:
-                scores = pair_scores(fit_curves, system, args.q, args.trim)
-                init = _classical_init(fit_curves, args.q)
-                estimate = eigenratio_mc(scores, system.eigenvalues,
-                                         init=init, tol=args.tol,
-                                         max_iter=args.max_iter)
-            except PassFpcaError as exc:
-                ratios = None
-                solver_doc = {
-                    "method": "mc",
-                    "converged": False,
-                    "error": str(exc),
-                    "trim_fraction": args.trim,
-                }
-            else:
-                ratios = estimate.ratios
-                solver_doc = {
-                    "method": estimate.method,
-                    "iterations": estimate.iterations,
-                    "converged": estimate.converged,
-                    "final_delta": estimate.final_delta,
-                    "trim_fraction": args.trim,
-                }
+            ratios = estimate.ratios
+            solver_doc.update(iterations=estimate.iterations,
+                              converged=estimate.converged,
+                              final_delta=estimate.final_delta)
     write_eigenfunctions_csv(args.eigenfunctions, system)
     if args.result is not None:
         _write_json(args.result, {
             "command": "fit",
             "method": args.method,
-            "smoothing": smoothing,
+            "smoothing": args.smoothing,
             "q": args.q,
             "n_curves": sample.n,
             "n_points": sample.grid.n_points,
@@ -269,30 +235,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _classical_init(sample: FunctionalSample,
-                    q: int) -> Optional[np.ndarray]:
-    try:
-        vals = eigendecompose(sample_covariance(sample), q).eigenvalues
-    except PassFpcaError:
-        return None
-    if np.any(vals <= 0.0):
-        return None
-    return vals / vals[0]
-
-
 def cmd_ratio(args: argparse.Namespace) -> int:
+    method = _method_id(f"pass_{args.solver}", args.smoothing)
+    opts = SolverOptions(q=args.q, trim_fraction=args.trim, tol=args.tol,
+                         max_iter=args.max_iter)
     sample = read_curves_csv(args.input)
-    curves = _smoothed_sample(sample, args.smoothing, basis_size=15)
-    system = eigendecompose(pass_covariance(curves), args.q)
-    init = _classical_init(curves, args.q)
-    if args.solver == "mc":
-        scores = pair_scores(curves, system, args.q, args.trim)
-        estimate = eigenratio_mc(scores, system.eigenvalues, init=init,
-                                 tol=args.tol, max_iter=args.max_iter)
-    else:
-        estimate = eigenratio_elliptical(system.eigenvalues, init=init,
-                                         tol=args.tol,
-                                         max_iter=args.max_iter)
+    pipeline = Pipeline(sample, opts)
+    system = pipeline.evaluate(_method_id("pass", args.smoothing))
+    estimate = pipeline.evaluate(method)
     _write_json(args.result, {
         "command": "ratio",
         "solver": args.solver,
@@ -395,6 +345,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         configs = [SimulationConfig(seed=0, **setting)
                    for setting in document["settings"]]
         opts = SolverOptions(**(document.get("solver") or {}))
+        for method in methods:
+            parse_method(method)
     except (PassFpcaError, TypeError) as exc:
         raise _FormatError(f"{args.config}: invalid setting: {exc}") from None
     rows = run_benchmark(configs, methods,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -320,14 +319,7 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
                             METHOD_MONTE_CARLO)
 
 
-@lru_cache(maxsize=1)
-def _fixed_rule_nodes() -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(2048)
-    # Map from [-1, 1] to (0, 1).
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def elliptical_expectation(ratios, j: int, rule: str = "adaptive") -> float:
+def elliptical_expectation(ratios, j: int) -> float:
     """Evaluate ``E[U_j^2 / sum_k ratios_k U_k^2]`` for Gaussian ``U``.
 
     Uses the one-dimensional integral representation
@@ -336,7 +328,8 @@ def elliptical_expectation(ratios, j: int, rule: str = "adaptive") -> float:
                 prod_{k=1..Q} (1 + r_k v)^{-1/2} dv,
 
     where the square-root product runs over every coordinate, evaluated
-    after the substitution ``v = t / (1 - t)``.
+    after the substitution ``v = t / (1 - t)`` by adaptive quadrature to
+    roughly 1e-10.
 
     Parameters
     ----------
@@ -346,9 +339,6 @@ def elliptical_expectation(ratios, j: int, rule: str = "adaptive") -> float:
         vector is accepted.
     j : int
         Component index, counting from 1.
-    rule : str
-        ``"adaptive"`` (default) for adaptive quadrature to roughly 1e-10,
-        or ``"fixed"`` for a deterministic 2048-node Gauss-Legendre rule.
 
     Returns
     -------
@@ -377,25 +367,15 @@ def elliptical_expectation(ratios, j: int, rule: str = "adaptive") -> float:
         prod = np.prod(np.sqrt(1.0 + r * v))
         return 0.5 * jacobian / ((1.0 + rj * v) * prod)
 
-    if rule == "adaptive":
-        value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
-                        limit=200)
-        return float(value)
-    if rule == "fixed":
-        nodes, weights = _fixed_rule_nodes()
-        v = nodes / (1.0 - nodes)
-        jacobian = 1.0 / (1.0 - nodes) ** 2
-        prod = np.prod(np.sqrt(1.0 + r[:, None] * v[None, :]), axis=0)
-        values = 0.5 * jacobian / ((1.0 + rj * v) * prod)
-        return float(np.dot(weights, values))
-    raise DimensionMismatchError(
-        f"rule must be 'adaptive' or 'fixed', got {rule!r}")
+    value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
+                    limit=200)
+    return float(value)
 
 
 def eigenratio_elliptical(pass_eigenvalues: np.ndarray,
                           init: Optional[np.ndarray] = None,
                           tol: float = 1e-8, max_iter: int = 500,
-                          rule: str = "adaptive") -> EigenratioEstimate:
+                          ) -> EigenratioEstimate:
     """Eigenratio recovery assuming elliptically distributed scores.
 
     Runs the same fixed-point iteration as :func:`eigenratio_mc` but
@@ -410,8 +390,6 @@ def eigenratio_elliptical(pass_eigenvalues: np.ndarray,
         Leading eigenvalues of the pairwise surface.
     init, tol, max_iter :
         As in :func:`eigenratio_mc`.
-    rule : str
-        Quadrature rule passed through to :func:`elliptical_expectation`.
 
     Returns
     -------
@@ -423,7 +401,7 @@ def eigenratio_elliptical(pass_eigenvalues: np.ndarray,
     q = kappa_ratios.size
 
     def f_eval(lam: np.ndarray) -> np.ndarray:
-        return np.array([elliptical_expectation(lam, k, rule=rule)
+        return np.array([elliptical_expectation(lam, k)
                          for k in range(1, q + 1)])
 
     return _run_fixed_point(f_eval, kappa_ratios, start, tol, max_iter,

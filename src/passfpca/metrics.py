@@ -9,54 +9,37 @@ summarized by the squared error of the first component's proportion of
 variance explained, ``PVE_1 = 1 / sum_j ratios_j``.
 
 :func:`run_benchmark` sweeps configurations and method variants over
-seeded replicates, sharing each generated sample across methods,
-excluding failed replicates with counts, and producing a deterministic
-table for a given seed.
+seeded replicates, sharing each generated sample across methods (one
+:class:`~passfpca.pipeline.Pipeline` per sample), excluding failed
+replicates with counts, and producing a deterministic table for a given
+seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .eigenratio import (
-    EigenratioEstimate,
-    eigenratio_elliptical,
-    eigenratio_mc,
-    pair_scores,
-)
 from .errors import (
     DimensionMismatchError,
     InsufficientSampleError,
     PassFpcaError,
 )
-from .estimators import (
-    EigenSystem,
-    eigendecompose,
-    mspc,
-    pass_covariance,
-    sample_covariance,
+from .estimators import EigenSystem
+from .grid import Grid, inner_product, l2_norm, make_grid
+from .pipeline import (
+    EIGENFUNCTION_METHODS,
+    Pipeline,
+    SolverOptions,
+    parse_method,
 )
-from .grid import FunctionalSample, Grid, inner_product, l2_norm, make_grid
 from .simulate import GroundTruth, SimulationConfig, fourier_truth, generate
-from .smoothing import (
-    SCHEME_PRE_SMOOTH,
-    SCHEME_SMOOTH_CF,
-    SmoothingSpec,
-    presmooth,
-    remove_diagonal,
-    smooth_surface,
-)
 
 __all__ = [
-    "EIGENFUNCTION_METHODS",
-    "RATIO_METHODS",
     "ReplicationResult",
     "BenchmarkRow",
-    "SolverOptions",
     "align_sign",
     "eigenfunction_mse",
     "pve_error",
@@ -66,40 +49,6 @@ __all__ = [
     "collect_replicates",
     "run_benchmark",
 ]
-
-# Method identifiers: a base estimator, optionally followed by
-# "@pre_smooth" or "@smooth_cf".
-EIGENFUNCTION_METHODS = ("pass", "classical", "mspc")
-RATIO_METHODS = ("pass_mc", "pass_elliptical", "classical_ratio")
-_SCHEMES = (SCHEME_PRE_SMOOTH, SCHEME_SMOOTH_CF)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Shared tuning knobs for the estimators inside the harness."""
-
-    q: int = 4
-    trim_fraction: float = 0.02
-    tol: float = 1e-8
-    max_iter: int = 500
-    basis_size: int = 15
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise DimensionMismatchError(f"q must be >= 1, got {self.q}")
-        if not 0.0 <= self.trim_fraction <= 0.1:
-            raise DimensionMismatchError(
-                f"trim_fraction must be in [0, 0.1], got "
-                f"{self.trim_fraction}")
-        if not self.tol > 0.0:
-            raise DimensionMismatchError(
-                f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise DimensionMismatchError(
-                f"max_iter must be >= 1, got {self.max_iter}")
-        if self.basis_size < 4:
-            raise DimensionMismatchError(
-                f"basis_size must be at least 4, got {self.basis_size}")
 
 
 @dataclass
@@ -251,116 +200,6 @@ def derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _parse_method(method: str) -> tuple[str, Optional[str]]:
-    base, at, scheme = method.partition("@")
-    scheme_val = scheme if at else None
-    if base not in EIGENFUNCTION_METHODS + RATIO_METHODS:
-        raise DimensionMismatchError(
-            f"unknown method {base!r}; expected one of "
-            f"{EIGENFUNCTION_METHODS + RATIO_METHODS}")
-    if scheme_val is not None and scheme_val not in _SCHEMES:
-        raise DimensionMismatchError(
-            f"unknown smoothing scheme {scheme_val!r} in method "
-            f"{method!r}; expected one of {_SCHEMES}")
-    if base == "mspc" and scheme_val == SCHEME_SMOOTH_CF:
-        raise DimensionMismatchError(
-            "mspc has no surface-smoothing variant; use mspc or "
-            "mspc@pre_smooth")
-    return base, scheme_val
-
-
-class _ReplicateArtifacts:
-    """Lazily computed shared estimates for one generated sample."""
-
-    def __init__(self, sample: FunctionalSample, opts: SolverOptions):
-        self.sample = sample
-        self.opts = opts
-        self._memo: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._memo:
-            self._memo[key] = builder()
-        return self._memo[key]
-
-    def curves(self, scheme: Optional[str]) -> FunctionalSample:
-        if scheme == SCHEME_PRE_SMOOTH:
-            return self._get("curves_pre", lambda: presmooth(
-                self.sample, SmoothingSpec(scheme=SCHEME_PRE_SMOOTH)))
-        return self.sample
-
-    def surface(self, family: str, scheme: Optional[str]):
-        estimator = (pass_covariance if family == "pass"
-                     else sample_covariance)
-        if scheme == SCHEME_SMOOTH_CF:
-            def build():
-                raw = estimator(self.sample)
-                spec = SmoothingSpec(scheme=SCHEME_SMOOTH_CF,
-                                     basis_size=self.opts.basis_size)
-                return smooth_surface(remove_diagonal(raw), spec)
-            return self._get(("surface", family, "cf"), build)
-        curves = self.curves(scheme)
-        return self._get(("surface", family, scheme),
-                         lambda: estimator(curves))
-
-    def eigensystem(self, family: str,
-                    scheme: Optional[str]) -> EigenSystem:
-        return self._get(("eigen", family, scheme), lambda: eigendecompose(
-            self.surface(family, scheme), self.opts.q))
-
-    def pairscores(self, scheme: Optional[str]):
-        def build():
-            # Projections use the curves the surface was built from: the
-            # raw curves for both the plain and surface-smoothed paths,
-            # the smoothed curves for the pre-smoothing path.
-            curves = self.curves(scheme)
-            return pair_scores(curves, self.eigensystem("pass", scheme),
-                               self.opts.q, self.opts.trim_fraction)
-        return self._get(("pairscores", scheme), build)
-
-    def classical_init(self, scheme: Optional[str]) -> Optional[np.ndarray]:
-        def build():
-            try:
-                vals = self.eigensystem("classical", scheme).eigenvalues
-            except PassFpcaError:
-                return None
-            if np.any(vals <= 0.0):
-                return None
-            return vals / vals[0]
-        return self._get(("init", scheme), build)
-
-
-def _evaluate_method(method: str, artifacts: _ReplicateArtifacts):
-    """Return ("eigenfunction", vector) or ("ratio", EigenratioEstimate)."""
-    base, scheme = _parse_method(method)
-    opts = artifacts.opts
-    if base in EIGENFUNCTION_METHODS:
-        if base == "mspc":
-            system = mspc(artifacts.curves(scheme), opts.q)
-        else:
-            system = artifacts.eigensystem(base, scheme)
-        return "eigenfunction", system.eigenfunctions[:, 0]
-    if base == "classical_ratio":
-        vals = artifacts.eigensystem("classical", scheme).eigenvalues
-        if np.any(vals <= 0.0):
-            raise InsufficientSampleError(
-                "classical eigenvalues are not all positive; ratios are "
-                "undefined")
-        estimate = EigenratioEstimate(
-            ratios=vals / vals[0], iterations=0, converged=True,
-            final_delta=0.0, method="classical")
-        return "ratio", estimate
-    kappa = artifacts.eigensystem("pass", scheme).eigenvalues
-    init = artifacts.classical_init(scheme)
-    if base == "pass_mc":
-        estimate = eigenratio_mc(
-            artifacts.pairscores(scheme), kappa, init=init,
-            tol=opts.tol, max_iter=opts.max_iter)
-    else:
-        estimate = eigenratio_elliptical(
-            kappa, init=init, tol=opts.tol, max_iter=opts.max_iter)
-    return "ratio", estimate
-
-
 def collect_replicates(config: SimulationConfig, methods: Sequence[str],
                        replications: int, seed: int,
                        config_index: int = 0,
@@ -383,43 +222,34 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
             f"replications must be >= 1, got {replications}")
     opts = opts or SolverOptions()
     for method in methods:
-        _parse_method(method)
-    eigen_store: dict[str, list] = {m: [] for m in methods}
-    ratio_store: dict[str, list] = {m: [] for m in methods}
+        parse_method(method)
+    store: dict[str, list] = {m: [] for m in methods}
     failures = {m: 0 for m in methods}
     for rep in range(replications):
         rep_config = replace(config,
                              seed=derive_seed(seed, config_index, rep))
         sample, _ = generate(rep_config)
-        artifacts = _ReplicateArtifacts(sample, opts)
+        pipeline = Pipeline(sample, opts)
         for method in methods:
             try:
-                kind, value = _evaluate_method(method, artifacts)
+                value = pipeline.evaluate(method)
             except PassFpcaError:
                 failures[method] += 1
                 continue
-            if kind == "eigenfunction":
-                eigen_store[method].append(value)
+            if isinstance(value, EigenSystem):
+                store[method].append(value.eigenfunctions[:, 0])
+            elif value.converged:
+                store[method].append(value.ratios)
             else:
-                if not value.converged:
-                    failures[method] += 1
-                    continue
-                ratio_store[method].append(value.ratios)
+                failures[method] += 1
     results = {}
     for method in methods:
-        base, _ = _parse_method(method)
-        if base in EIGENFUNCTION_METHODS:
-            stack = (np.array(eigen_store[method])
-                     if eigen_store[method] else None)
-            results[method] = ReplicationResult(
-                method=method, config=config, replications=replications,
-                eigenfunctions=stack, failures=failures[method])
-        else:
-            stack = (np.array(ratio_store[method])
-                     if ratio_store[method] else None)
-            results[method] = ReplicationResult(
-                method=method, config=config, replications=replications,
-                ratios=stack, failures=failures[method])
+        stack = np.array(store[method]) if store[method] else None
+        eigen = parse_method(method)[0] in EIGENFUNCTION_METHODS
+        results[method] = ReplicationResult(
+            method=method, config=config, replications=replications,
+            eigenfunctions=stack if eigen else None,
+            ratios=None if eigen else stack, failures=failures[method])
     return results
 
 
@@ -452,12 +282,10 @@ def run_benchmark(configs: Sequence[SimulationConfig],
         ``failed``; the sweep itself never aborts.
     """
     opts = opts or SolverOptions()
-    truth_values = None
     rows: list[BenchmarkRow] = []
     for config_index, config in enumerate(configs):
         grid = make_grid(config.n_points)
         truth = fourier_truth(grid)
-        truth_values = truth.eigenvalues
         collected = collect_replicates(
             config, methods, replications, seed,
             config_index=config_index, opts=opts)
@@ -467,7 +295,7 @@ def run_benchmark(configs: Sequence[SimulationConfig],
             if result.eigenfunctions is not None and len(result.eigenfunctions):
                 mse, bias = eigenfunction_mse(result, truth)
             elif result.ratios is not None and len(result.ratios):
-                pve_mse = pve_error(result.ratios, truth_values)
+                pve_mse = pve_error(result.ratios, truth.eigenvalues)
             rows.append(BenchmarkRow(
                 config=config, method=method, mse=mse, bias=bias,
                 pve_mse=pve_mse, failures=result.failures,

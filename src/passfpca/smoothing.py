@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     SchemeMismatchError,
 )
 from .estimators import CovarianceSurface
-from .grid import FunctionalSample, Grid
+from .grid import FunctionalSample
 
 __all__ = [
     "SCHEME_PRE_SMOOTH",
@@ -49,8 +50,9 @@ SCHEME_SMOOTH_CF = "smooth_cf"
 _CURVE_PENALTIES = np.logspace(-12, 6, 91)
 _SURFACE_PENALTIES = np.logspace(-10, 8, 91)
 
-_curve_cache: dict = {}
-_surface_cache: dict = {}
+# Smoothing operators depend only on the grid (and the basis size), so
+# each is built once per grid; a few grids stay cached at a time.
+_CACHED_GRIDS = 8
 
 
 @dataclass(frozen=True)
@@ -109,20 +111,17 @@ def _second_difference(n: int) -> np.ndarray:
     return mat
 
 
-def _curve_smoother(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the curve roughness penalty, cached per
-    grid."""
-    key = (grid.n_points, grid.points.tobytes())
-    hit = _curve_cache.get(key)
-    if hit is not None:
-        return hit
-    d2 = _second_difference(grid.n_points)
+@lru_cache(maxsize=_CACHED_GRIDS)
+def _curve_smoother(n_points: int, points: bytes,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the curve roughness penalty on the grid of
+    ``n_points`` points (spacing ``1/n_points``) given by ``points``."""
+    d2 = _second_difference(n_points)
     # Scale so the quadratic form approximates the integrated squared
     # second derivative.
-    penalty_matrix = (d2.T @ d2) / grid.spacing ** 3
+    penalty_matrix = (d2.T @ d2) / (1.0 / n_points) ** 3
     eigs, vecs = np.linalg.eigh(penalty_matrix)
     eigs = np.clip(eigs, 0.0, None)
-    _curve_cache[key] = (eigs, vecs)
     return eigs, vecs
 
 
@@ -161,7 +160,7 @@ def presmooth(sample: FunctionalSample, spec: SmoothingSpec,
         # Interpolation limit; short-circuit to keep it bit-exact.
         return FunctionalSample(grid=sample.grid,
                                 values=sample.values.copy())
-    eigs, vecs = _curve_smoother(sample.grid)
+    eigs, vecs = _curve_smoother(n_points, sample.grid.points.tobytes())
     rotated = sample.values @ vecs
     if spec.penalty is not None:
         factors = _shrink_factors(spec.penalty, eigs)
@@ -194,11 +193,11 @@ def remove_diagonal(surface: CovarianceSurface) -> CovarianceSurface:
 class _SurfaceSmoother:
     """Precomputed tensor-spline operators for one (grid, basis) pair."""
 
-    def __init__(self, grid: Grid, basis_size: int):
+    def __init__(self, points: np.ndarray, basis_size: int):
         degree = 3
         inner = np.linspace(0.0, 1.0, basis_size - degree + 1)
         knots = np.concatenate([np.zeros(degree), inner, np.ones(degree)])
-        basis = BSpline.design_matrix(grid.points, knots, degree,
+        basis = BSpline.design_matrix(points, knots, degree,
                                       extrapolate=False).toarray()
         n_points, m = basis.shape
         btb = basis.T @ basis
@@ -247,13 +246,10 @@ class _SurfaceSmoother:
         return 0.5 * (smoothed + smoothed.T)
 
 
-def _surface_smoother(grid: Grid, basis_size: int) -> _SurfaceSmoother:
-    key = (grid.n_points, basis_size, grid.points.tobytes())
-    hit = _surface_cache.get(key)
-    if hit is None:
-        hit = _SurfaceSmoother(grid, basis_size)
-        _surface_cache[key] = hit
-    return hit
+@lru_cache(maxsize=_CACHED_GRIDS)
+def _surface_smoother(n_points: int, basis_size: int,
+                      points: bytes) -> _SurfaceSmoother:
+    return _SurfaceSmoother(np.frombuffer(points), basis_size)
 
 
 def smooth_surface(surface: CovarianceSurface, spec: SmoothingSpec,
@@ -290,7 +286,9 @@ def smooth_surface(surface: CovarianceSurface, spec: SmoothingSpec,
         raise BasisSizeError(
             f"basis_size {spec.basis_size} exceeds the grid size "
             f"{surface.grid.n_points}")
-    smoother = _surface_smoother(surface.grid, spec.basis_size)
+    grid = surface.grid
+    smoother = _surface_smoother(grid.n_points, spec.basis_size,
+                                 grid.points.tobytes())
     matrix = smoother.fit(surface.matrix, spec.penalty)
     return CovarianceSurface(grid=surface.grid, matrix=matrix,
                              kind=surface.kind, diagonal_removed=False)

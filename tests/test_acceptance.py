@@ -5,13 +5,21 @@ contributes one ``CRITERION k: PASS/FAIL`` line to the summary printed
 at the end of the session.  The replicated sweeps are shared through
 session-scoped fixtures; a full run takes a few minutes.
 
-Criterion 4 encodes every stated bound faithfully; three of its
+Criterion 4 encodes every stated bound faithfully; five of its
 sub-checks fail systematically (they persist across seeds and sample
-sizes) and are reported rather than relaxed: the fixed-point solver's
-variance-explained estimate under lognormal scores is biased low by
-about 8 percentage points, the same holds for the score-contamination
-scheme, and the integral solver under chi-square scores underestimates
-by about 7 points rather than the required 10.
+sizes) and are reported rather than relaxed.  The run prints them as::
+
+    clean/lognormal median -8.6pp outside ±5
+    ol2/frechet |mc -2.4| >= |classical -1.4|
+    ol2/lognormal |mc -7.6| >= |classical +0.7|
+    ol2/chisquare |mc -1.1| >= |classical -0.9|
+    elliptical/chisq -6.8pp, needs <= -10
+
+The fixed-point solver's variance-explained estimate under lognormal
+scores is biased low, it loses to the raw classical ratios on three
+cells of the score-contamination scheme, and the integral solver under
+chi-square scores underestimates by about 7 points rather than the
+required 10.
 """
 
 import pathlib

@@ -156,6 +156,44 @@ def test_fit_mspc_rejects_surface_smoothing(tmp_path):
     assert code == EXIT_FORMAT
 
 
+def test_fit_ratio_solver_method_is_mc(tmp_path):
+    # Both the converged and the failed refinement name the solver "mc",
+    # as docs/schema.md specifies.
+    many = _simulate(tmp_path)
+    two = tmp_path / "two.csv"
+    assert _run("simulate", "--n", "2", "--seed", "3",
+                "--out", str(two)) == EXIT_OK
+    for curves, converged in ((many, True), (two, False)):
+        result = tmp_path / "fit.json"
+        assert _run("fit", "--input", str(curves), "--eigenfunctions",
+                    str(tmp_path / "ef.csv"), "--result",
+                    str(result)) == EXIT_OK
+        solver = json.loads(result.read_text())["ratio_solver"]
+        assert solver["method"] == "mc"
+        assert solver["converged"] is converged
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("fit", "--trim", "0.5"),
+    ("fit", "--tol", "0"),
+    ("fit", "--max-iter", "0"),
+    ("fit", "--basis-size", "3"),
+    ("ratio", "--trim", "-0.1"),
+    ("ratio", "--tol", "-0.5"),
+    ("ratio", "--max-iter", "0"),
+])
+def test_out_of_range_solver_flag_is_estimation_error(
+        tmp_path, capsys, command, flag, value):
+    curves = _simulate(tmp_path)
+    outputs = (["--eigenfunctions", str(tmp_path / "ef.csv")]
+               if command == "fit" else [])
+    code = _run(command, "--input", str(curves), flag, value,
+                "--result", str(tmp_path / "out.json"), *outputs)
+    assert code == EXIT_ESTIMATION
+    assert "estimation error" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # ratio
 
@@ -236,6 +274,18 @@ settings:
     assert _run("bench", "--config", str(config)) == EXIT_FORMAT
 
 
+def test_bench_unknown_method_is_format_error(tmp_path, capsys):
+    config = _write_bench_config(tmp_path, """\
+seed: 1
+replications: 1
+methods: [pass, ridge]
+settings:
+  - {n: 10}
+""")
+    assert _run("bench", "--config", str(config)) == EXIT_FORMAT
+    assert "ridge" in capsys.readouterr().err
+
+
 def test_bench_strict_flags_failed_cell(tmp_path):
     # Two curves give one pair; the default trimming removes it, so the
     # ratio cell can never succeed.
@@ -308,6 +358,21 @@ def test_format_error_reports_line_number(tmp_path, capsys):
                 "--eigenfunctions", str(tmp_path / "ef.csv"))
     assert code == EXIT_FORMAT
     assert "bad.csv:4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_format_error_for_non_finite_value(tmp_path, capsys, value):
+    curves = _simulate(tmp_path)
+    text = curves.read_text().splitlines()
+    fields = text[6].split(",")
+    fields[2] = value
+    text[6] = ",".join(fields)
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text("\n".join(text) + "\n")
+    code = _run("fit", "--input", str(bad),
+                "--eigenfunctions", str(tmp_path / "ef.csv"))
+    assert code == EXIT_FORMAT
+    assert "nonfinite.csv:7" in capsys.readouterr().err
 
 
 def test_format_error_for_wrong_grid(tmp_path, capsys):

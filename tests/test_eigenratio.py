@@ -251,17 +251,6 @@ def test_elliptical_expectation_sum_identity():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_elliptical_expectation_fixed_rule_matches_adaptive():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        ratios = np.sort(rng.uniform(0.05, 1.0, size=4))[::-1]
-        ratios[0] = 1.0
-        for j in (1, 2, 4):
-            adaptive = elliptical_expectation(ratios, j)
-            fixed = elliptical_expectation(ratios, j, rule="fixed")
-            assert fixed == pytest.approx(adaptive, abs=1e-8)
-
-
 def test_elliptical_expectation_monte_carlo_spot_check():
     ratios = np.array([1.0, 0.6, 0.3, 0.1])
     rng = np.random.default_rng(2024)
@@ -280,8 +269,6 @@ def test_elliptical_expectation_validation():
         elliptical_expectation([1.0, 0.5], 0)
     with pytest.raises(DimensionMismatchError):
         elliptical_expectation([1.0, 0.5], 3)
-    with pytest.raises(DimensionMismatchError):
-        elliptical_expectation([1.0, 0.5], 1, rule="trapezoid")
 
 
 # ---------------------------------------------------------------------------
