@@ -4,8 +4,8 @@ The package estimates functional principal components through a pairwise
 self-normalized covariance surface that tolerates heavy-tailed and
 contaminated curves, recovers the classical eigenvalue ratios from its
 shrunken spectrum by a fixed-point iteration, handles pointwise
-measurement noise by curve pre-smoothing or surface smoothing with
-diagonal removal, and ships a seeded simulation benchmark comparing the
+measurement noise by curve pre-smoothing or by surface smoothing off the
+noise-inflated diagonal, and ships a seeded simulation benchmark comparing the
 approaches.
 """
 
@@ -28,19 +28,15 @@ from .errors import (
     BasisSizeError,
     ConvergenceError,
     DegenerateSampleError,
-    DiagonalStateError,
     DimensionMismatchError,
     InsufficientSampleError,
     InvalidGridError,
     PassFpcaError,
-    SchemeMismatchError,
     ThresholdError,
 )
 from .estimators import (
     CovarianceSurface,
     EigenSystem,
-    KIND_CLASSICAL,
-    KIND_PASS,
     eigendecompose,
     mean_function,
     mspc,
@@ -81,9 +77,7 @@ from .simulate import (
 from .smoothing import (
     SCHEME_PRE_SMOOTH,
     SCHEME_SMOOTH_CF,
-    SmoothingSpec,
     presmooth,
-    remove_diagonal,
     smooth_surface,
 )
 
@@ -97,7 +91,6 @@ __all__ = [
     "ConvergenceError",
     "CovarianceSurface",
     "DegenerateSampleError",
-    "DiagonalStateError",
     "DimensionMismatchError",
     "EIGENFUNCTION_METHODS",
     "EigenSystem",
@@ -107,8 +100,6 @@ __all__ = [
     "GroundTruth",
     "InsufficientSampleError",
     "InvalidGridError",
-    "KIND_CLASSICAL",
-    "KIND_PASS",
     "METHOD_ELLIPTICAL",
     "METHOD_MONTE_CARLO",
     "OUTLIER_SCHEMES",
@@ -120,9 +111,7 @@ __all__ = [
     "SCHEME_PRE_SMOOTH",
     "SCHEME_SMOOTH_CF",
     "SCORE_LAWS",
-    "SchemeMismatchError",
     "SimulationConfig",
-    "SmoothingSpec",
     "SolverOptions",
     "ThresholdError",
     "align_sign",
@@ -151,7 +140,6 @@ __all__ = [
     "presmooth",
     "pve_error",
     "rank_select",
-    "remove_diagonal",
     "run_benchmark",
     "sample_covariance",
     "smooth_surface",

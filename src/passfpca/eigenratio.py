@@ -273,6 +273,14 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
                   max_iter: int = 500) -> EigenratioEstimate:
     """Eigenratio recovery with pair-averaged expectations.
 
+    When every pair's squared norm equals the sum of its ``q`` squared
+    projections (rank-``q`` curves, no outliers, ``trim_fraction=0``),
+    the update reduces to ``kappa_k / kappa_1 = m_k / m_1`` with
+    ``m_k`` the pair mean of ``raw_k^2 / sum_l raw_l^2``, and the fixed
+    point is exactly ``standardizers / standardizers[0]``: a ratio of
+    mean squared pair projections.  Its robustness then comes only from
+    the trimming, which moves the fixed point away from that ratio.
+
     Parameters
     ----------
     pairscores : PairScores

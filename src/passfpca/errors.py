@@ -18,8 +18,6 @@ __all__ = [
     "InsufficientSampleError",
     "DegenerateSampleError",
     "AsymmetrySurfaceError",
-    "DiagonalStateError",
-    "SchemeMismatchError",
     "BasisSizeError",
     "ThresholdError",
     "ConvergenceError",
@@ -49,16 +47,6 @@ class DegenerateSampleError(PassFpcaError, ValueError):
 
 class AsymmetrySurfaceError(PassFpcaError, ValueError):
     """A covariance surface violates its symmetry tolerance."""
-
-
-class DiagonalStateError(PassFpcaError, ValueError):
-    """A surface's diagonal is in the wrong state for an operation
-    (removed where it is needed, or present where it must be removed)."""
-
-
-class SchemeMismatchError(PassFpcaError, ValueError):
-    """A smoothing spec names one scheme but was passed to the other
-    scheme's operation."""
 
 
 class BasisSizeError(PassFpcaError, ValueError):

@@ -1,8 +1,8 @@
 """Covariance-surface estimators and their eigendecomposition.
 
 Two surface estimators are provided.  The classical sample covariance is
-the usual moment estimator.  The pairwise self-normalized estimator (the
-``pass`` kind) averages outer products of curve differences scaled by
+the usual moment estimator.  The pairwise self-normalized (PASS)
+estimator averages outer products of curve differences scaled by
 their own squared norm,
 
     K(s, t) = mean over pairs (j, k) of
@@ -28,14 +28,11 @@ from .errors import (
     ConvergenceError,
     DegenerateSampleError,
     DimensionMismatchError,
-    DiagonalStateError,
     InsufficientSampleError,
 )
 from .grid import FunctionalSample, Grid
 
 __all__ = [
-    "KIND_CLASSICAL",
-    "KIND_PASS",
     "CovarianceSurface",
     "EigenSystem",
     "mean_function",
@@ -45,9 +42,6 @@ __all__ = [
     "spatial_median",
     "mspc",
 ]
-
-KIND_CLASSICAL = "classical"
-KIND_PASS = "pass"
 
 # Pairs whose squared norm falls at or below this relative threshold are
 # treated as coincident curves and excluded from the pairwise average.
@@ -66,18 +60,11 @@ class CovarianceSurface:
     grid : Grid
         Common sampling grid.
     matrix : numpy.ndarray
-        Symmetric ``(N, N)`` matrix of surface values.
-    kind : str
-        Either ``"classical"`` or ``"pass"``.
-    diagonal_removed : bool
-        True when the diagonal has been blanked out (set to NaN) prior to
-        surface smoothing under measurement noise.
+        Finite, symmetric ``(N, N)`` matrix of surface values.
     """
 
     grid: Grid
     matrix: np.ndarray = field(repr=False)
-    kind: str = KIND_CLASSICAL
-    diagonal_removed: bool = False
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -85,23 +72,13 @@ class CovarianceSurface:
         if mat.shape != (n, n):
             raise DimensionMismatchError(
                 f"surface matrix must have shape ({n}, {n}), got {mat.shape}")
-        if self.kind not in (KIND_CLASSICAL, KIND_PASS):
-            raise DimensionMismatchError(
-                f"kind must be 'classical' or 'pass', got {self.kind!r}")
-        offdiag = ~np.eye(n, dtype=bool)
-        if self.diagonal_removed:
-            finite_ok = np.all(np.isfinite(mat[offdiag]))
-        else:
-            finite_ok = np.all(np.isfinite(mat))
-        if not finite_ok:
-            raise DimensionMismatchError(
-                "surface values must be finite (off the diagonal when the "
-                "diagonal is removed)")
-        asym = np.abs(mat - mat.T)[offdiag]
-        if asym.size and np.max(asym) > _SYMMETRY_ATOL:
+        if not np.all(np.isfinite(mat)):
+            raise DimensionMismatchError("surface values must be finite")
+        asym = np.max(np.abs(mat - mat.T))
+        if asym > _SYMMETRY_ATOL:
             raise AsymmetrySurfaceError(
                 f"surface is asymmetric beyond tolerance: "
-                f"max |M - M^T| = {np.max(asym):.3e}")
+                f"max |M - M^T| = {asym:.3e}")
         self.matrix = mat
 
 
@@ -159,7 +136,7 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     -------
     CovarianceSurface
         Surface with ``matrix[j, k]`` equal to the usual unbiased sample
-        covariance between grid points ``j`` and ``k``; kind ``classical``.
+        covariance between grid points ``j`` and ``k``.
 
     Notes
     -----
@@ -174,8 +151,7 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     acc = np.zeros((sample.grid.n_points, sample.grid.n_points))
     for row in centered:
         acc += row[:, None] * row[None, :]
-    return CovarianceSurface(grid=sample.grid, matrix=acc / (n - 1),
-                             kind=KIND_CLASSICAL)
+    return CovarianceSurface(grid=sample.grid, matrix=acc / (n - 1))
 
 
 def _pairwise_sq_norms(values: np.ndarray, spacing: float) -> list[np.ndarray]:
@@ -205,8 +181,7 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     Returns
     -------
     CovarianceSurface
-        Surface of kind ``pass`` whose trace times the quadrature weight
-        equals one.
+        Surface whose trace times the quadrature weight equals one.
     """
     n = sample.n
     if n < 2:
@@ -236,7 +211,7 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
             "undefined")
     acc /= retained
     acc = 0.5 * (acc + acc.T)
-    return CovarianceSurface(grid=sample.grid, matrix=acc, kind=KIND_PASS)
+    return CovarianceSurface(grid=sample.grid, matrix=acc)
 
 
 def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
@@ -245,7 +220,7 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
     Parameters
     ----------
     surface : CovarianceSurface
-        Symmetric surface with its diagonal present.
+        Symmetric surface, raw or smoothed.
     q : int
         Number of components to retain, between 1 and ``N``.
 
@@ -257,10 +232,6 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
         norm, signed so the entry of largest magnitude is positive.
     """
     grid = surface.grid
-    if surface.diagonal_removed:
-        raise DiagonalStateError(
-            "cannot eigendecompose a surface whose diagonal was removed; "
-            "smooth it first to restore the diagonal")
     if not 1 <= q <= grid.n_points:
         raise DimensionMismatchError(
             f"q must be between 1 and {grid.n_points}, got {q}")
@@ -362,6 +333,5 @@ def mspc(sample: FunctionalSample, q: int) -> EigenSystem:
     signs = deviations[keep] / np.sqrt(sq[keep])[:, None]
     surface_matrix = (signs.T @ signs) / signs.shape[0]
     surface_matrix = 0.5 * (surface_matrix + surface_matrix.T)
-    surface = CovarianceSurface(grid=sample.grid, matrix=surface_matrix,
-                                kind=KIND_PASS)
-    return eigendecompose(surface, q)
+    return eigendecompose(
+        CovarianceSurface(grid=sample.grid, matrix=surface_matrix), q)

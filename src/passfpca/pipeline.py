@@ -45,9 +45,7 @@ from .grid import FunctionalSample
 from .smoothing import (
     SCHEME_PRE_SMOOTH,
     SCHEME_SMOOTH_CF,
-    SmoothingSpec,
     presmooth,
-    remove_diagonal,
     smooth_surface,
 )
 
@@ -140,19 +138,17 @@ class Pipeline:
     def curves(self, scheme: Optional[str]) -> FunctionalSample:
         """The curves the projections and classical ratios use."""
         if scheme == SCHEME_PRE_SMOOTH:
-            return self._get("curves_pre", lambda: presmooth(
-                self.sample, SmoothingSpec(scheme=SCHEME_PRE_SMOOTH)))
+            return self._get("curves_pre", lambda: presmooth(self.sample))
         return self.sample
 
     def surface(self, family: str,
                 scheme: Optional[str]) -> CovarianceSurface:
-        """PASS (``family="pass"``) or classical covariance surface."""
+        """PASS (``family="pass"``) or classical covariance surface;
+        ``smooth_cf`` smooths the memoized raw surface."""
         def build():
             if scheme == SCHEME_SMOOTH_CF:
-                raw = remove_diagonal(self.surface(family, None))
-                return smooth_surface(raw, SmoothingSpec(
-                    scheme=SCHEME_SMOOTH_CF,
-                    basis_size=self.opts.basis_size))
+                return smooth_surface(self.surface(family, None),
+                                      basis_size=self.opts.basis_size)
             estimator = (pass_covariance if family == "pass"
                          else sample_covariance)
             return estimator(self.curves(scheme))

@@ -1,13 +1,15 @@
 """Noise handling for observed curves and covariance surfaces.
 
-Two schemes are supported.  ``pre_smooth`` replaces each observed curve
-by a second-difference-penalized ridge fit before any covariance
-estimation, with the penalty chosen per curve by generalized
-cross-validation unless fixed.  ``smooth_cf`` estimates the pairwise
-covariance surface from the raw noisy curves, removes its diagonal
-(which carries an additive noise inflation), and fits a penalized
-tensor-product B-spline through the remaining cells, evaluating the fit
-back on the full grid.
+Two schemes are supported, one call each.  ``pre_smooth``
+(:func:`presmooth`) replaces each observed curve by a
+second-difference-penalized ridge fit before any covariance estimation,
+with the penalty chosen per curve by generalized cross-validation unless
+fixed.  ``smooth_cf`` (:func:`smooth_surface`) takes the covariance
+surface estimated from the raw noisy curves and fits a penalized
+tensor-product B-spline through its off-diagonal cells only, since
+pointwise noise inflates exactly the diagonal (Yao, Müller & Wang 2005);
+the fit evaluated back on the full grid restores the diagonal from its
+smooth neighbors.
 
 Both paths return the ordinary sample and surface types, so downstream
 eigenanalysis is agnostic to how noise was handled.
@@ -16,7 +18,6 @@ eigenanalysis is agnostic to how noise was handled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -24,22 +25,15 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import cholesky, solve_triangular
 
-from .errors import (
-    BasisSizeError,
-    DiagonalStateError,
-    DimensionMismatchError,
-    InsufficientSampleError,
-    SchemeMismatchError,
-)
+from .errors import (BasisSizeError, DimensionMismatchError,
+                     InsufficientSampleError)
 from .estimators import CovarianceSurface
 from .grid import FunctionalSample
 
 __all__ = [
     "SCHEME_PRE_SMOOTH",
     "SCHEME_SMOOTH_CF",
-    "SmoothingSpec",
     "presmooth",
-    "remove_diagonal",
     "smooth_surface",
 ]
 
@@ -55,41 +49,11 @@ _SURFACE_PENALTIES = np.logspace(-10, 8, 91)
 _CACHED_GRIDS = 8
 
 
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """How to smooth, and how much.
-
-    Attributes
-    ----------
-    scheme : str
-        ``"pre_smooth"`` (smooth curves before estimation) or
-        ``"smooth_cf"`` (smooth the surface after estimation).
-    penalty : float or None
-        Fixed roughness penalty; None (default) selects it by
-        generalized cross-validation.  ``math.inf`` is accepted and
-        yields the penalty's null-space fit (a line per curve, a
-        bilinear surface).
-    basis_size : int
-        Marginal B-spline basis dimension for surface smoothing,
-        between 4 and the grid size.
-    """
-
-    scheme: str = SCHEME_PRE_SMOOTH
-    penalty: Optional[float] = None
-    basis_size: int = 15
-
-    def __post_init__(self):
-        if self.scheme not in (SCHEME_PRE_SMOOTH, SCHEME_SMOOTH_CF):
-            raise SchemeMismatchError(
-                f"scheme must be 'pre_smooth' or 'smooth_cf', got "
-                f"{self.scheme!r}")
-        if self.penalty is not None and not self.penalty >= 0.0:
-            raise DimensionMismatchError(
-                f"penalty must be nonnegative (or None for automatic "
-                f"selection), got {self.penalty}")
-        if self.basis_size < 4:
-            raise BasisSizeError(
-                f"basis_size must be at least 4, got {self.basis_size}")
+def _check_penalty(penalty: Optional[float]) -> None:
+    if penalty is not None and not penalty >= 0.0:
+        raise DimensionMismatchError(
+            f"penalty must be nonnegative (or None for automatic "
+            f"selection), got {penalty}")
 
 
 def _shrink_factors(penalty: float, eigs: np.ndarray) -> np.ndarray:
@@ -112,10 +76,9 @@ def _second_difference(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHED_GRIDS)
-def _curve_smoother(n_points: int, points: bytes,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the curve roughness penalty on the grid of
-    ``n_points`` points (spacing ``1/n_points``) given by ``points``."""
+def _curve_smoother(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the curve roughness penalty on a grid of
+    ``n_points`` points with spacing ``1/n_points``."""
     d2 = _second_difference(n_points)
     # Scale so the quadratic form approximates the integrated squared
     # second derivative.
@@ -125,13 +88,13 @@ def _curve_smoother(n_points: int, points: bytes,
     return eigs, vecs
 
 
-def presmooth(sample: FunctionalSample, spec: SmoothingSpec,
+def presmooth(sample: FunctionalSample, penalty: Optional[float] = None,
               ) -> FunctionalSample:
     """Smooth every curve with a roughness-penalized ridge fit.
 
     Each curve is replaced by the minimizer of its residual sum of
     squares plus ``penalty`` times the integrated squared second
-    difference.  With ``spec.penalty=None`` the penalty is chosen per
+    difference.  With ``penalty=None`` the penalty is chosen per
     curve by generalized cross-validation over a fixed logarithmic grid;
     a zero penalty reproduces the input and an infinite penalty returns
     each curve's least-squares line.
@@ -141,29 +104,29 @@ def presmooth(sample: FunctionalSample, spec: SmoothingSpec,
     sample : FunctionalSample
         Observed (typically noisy) curves; the grid needs at least 4
         points.
-    spec : SmoothingSpec
-        Must carry ``scheme="pre_smooth"``.
+    penalty : float or None
+        Fixed roughness penalty, nonnegative; ``math.inf`` is accepted.
+        None (default) selects it per curve by generalized
+        cross-validation.
 
     Returns
     -------
     FunctionalSample
         Smoothed curves on the same grid.
     """
-    if spec.scheme != SCHEME_PRE_SMOOTH:
-        raise SchemeMismatchError(
-            f"presmooth needs scheme='pre_smooth', got {spec.scheme!r}")
+    _check_penalty(penalty)
     n_points = sample.grid.n_points
     if n_points < 4:
         raise InsufficientSampleError(
             f"curve smoothing needs at least 4 grid points, got {n_points}")
-    if spec.penalty == 0.0:
+    if penalty == 0.0:
         # Interpolation limit; short-circuit to keep it bit-exact.
         return FunctionalSample(grid=sample.grid,
                                 values=sample.values.copy())
-    eigs, vecs = _curve_smoother(n_points, sample.grid.points.tobytes())
+    eigs, vecs = _curve_smoother(n_points)
     rotated = sample.values @ vecs
-    if spec.penalty is not None:
-        factors = _shrink_factors(spec.penalty, eigs)
+    if penalty is not None:
+        factors = _shrink_factors(penalty, eigs)
         smoothed = (rotated * factors) @ vecs.T
         return FunctionalSample(grid=sample.grid, values=smoothed)
     # GCV: evaluate every candidate penalty for every curve at once.
@@ -175,19 +138,6 @@ def presmooth(sample: FunctionalSample, spec: SmoothingSpec,
     best = np.argmin(gcv, axis=1)
     smoothed = (rotated * shrink[best]) @ vecs.T
     return FunctionalSample(grid=sample.grid, values=smoothed)
-
-
-def remove_diagonal(surface: CovarianceSurface) -> CovarianceSurface:
-    """Mark the surface diagonal as missing.
-
-    Under pointwise measurement noise the estimated surface is inflated
-    by an additive constant exactly on its diagonal, so the diagonal
-    cells must be excluded before surface smoothing.  Idempotent.
-    """
-    matrix = surface.matrix.copy()
-    np.fill_diagonal(matrix, np.nan)
-    return CovarianceSurface(grid=surface.grid, matrix=matrix,
-                             kind=surface.kind, diagonal_removed=True)
 
 
 class _SurfaceSmoother:
@@ -225,6 +175,8 @@ class _SurfaceSmoother:
     def fit(self, matrix: np.ndarray, penalty: Optional[float],
             ) -> np.ndarray:
         """Fit the off-diagonal cells; return the smoothed full surface."""
+        # A zero diagonal drops out of the projection and the residuals,
+        # matching the off-diagonal normal matrix.
         filled = matrix.copy()
         np.fill_diagonal(filled, 0.0)
         projected = (self.basis.T @ filled @ self.basis).reshape(-1)
@@ -252,43 +204,40 @@ def _surface_smoother(n_points: int, basis_size: int,
     return _SurfaceSmoother(np.frombuffer(points), basis_size)
 
 
-def smooth_surface(surface: CovarianceSurface, spec: SmoothingSpec,
-                   ) -> CovarianceSurface:
+def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
+                   penalty: Optional[float] = None) -> CovarianceSurface:
     """Fit a penalized tensor-product spline through the off-diagonal
-    cells of a diagonal-removed surface.
+    cells of a covariance surface.
 
     The fit minimizes the sum of squared deviations over off-diagonal
     cells plus second-difference roughness penalties along both margins,
-    and is evaluated back on the full grid, which restores the diagonal
-    from its smooth neighbors.  The output is exactly symmetric.
+    so the (noise-inflated) diagonal never enters it, and is evaluated
+    back on the full grid, which restores the diagonal from its smooth
+    neighbors.  The output is exactly symmetric.
 
     Parameters
     ----------
     surface : CovarianceSurface
-        Must have ``diagonal_removed=True`` (see :func:`remove_diagonal`).
-    spec : SmoothingSpec
-        Must carry ``scheme="smooth_cf"``; ``basis_size`` sets the
-        marginal spline dimension and may not exceed the grid size.
+        Full surface, typically estimated from raw noisy curves.
+    basis_size : int
+        Marginal B-spline basis dimension, between 4 and the grid size.
+    penalty : float or None
+        Fixed roughness penalty, nonnegative; ``math.inf`` yields the
+        bilinear null-space fit.  None (default) selects it by
+        generalized cross-validation.
 
     Returns
     -------
     CovarianceSurface
-        Smoothed surface of the same kind with its diagonal restored.
+        Smoothed surface on the same grid.
     """
-    if spec.scheme != SCHEME_SMOOTH_CF:
-        raise SchemeMismatchError(
-            f"smooth_surface needs scheme='smooth_cf', got {spec.scheme!r}")
-    if not surface.diagonal_removed:
-        raise DiagonalStateError(
-            "smooth_surface expects the diagonal to be removed; call "
-            "remove_diagonal first")
-    if spec.basis_size > surface.grid.n_points:
-        raise BasisSizeError(
-            f"basis_size {spec.basis_size} exceeds the grid size "
-            f"{surface.grid.n_points}")
+    _check_penalty(penalty)
     grid = surface.grid
-    smoother = _surface_smoother(grid.n_points, spec.basis_size,
+    if not 4 <= basis_size <= grid.n_points:
+        raise BasisSizeError(
+            f"basis_size must be between 4 and the grid size "
+            f"{grid.n_points}, got {basis_size}")
+    smoother = _surface_smoother(grid.n_points, basis_size,
                                  grid.points.tobytes())
-    matrix = smoother.fit(surface.matrix, spec.penalty)
-    return CovarianceSurface(grid=surface.grid, matrix=matrix,
-                             kind=surface.kind, diagonal_removed=False)
+    return CovarianceSurface(grid=grid,
+                             matrix=smoother.fit(surface.matrix, penalty))

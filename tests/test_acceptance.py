@@ -19,7 +19,11 @@ The fixed-point solver's variance-explained estimate under lognormal
 scores is biased low, it loses to the raw classical ratios on three
 cells of the score-contamination scheme, and the integral solver under
 chi-square scores underestimates by about 7 points rather than the
-required 10.
+required 10.  The pair solver's cells share one cause: on rank-q curves
+without outliers or trimming its fixed point is exactly the ratio of
+its mean squared pair projections (``standardizers /
+standardizers[0]``, pinned in ``test_eigenratio.py``), so its
+robustness comes only from the trimming.
 """
 
 import pathlib

@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passfpca import make_grid
+from passfpca import FunctionalSample, make_grid
 from passfpca.cli import (
     EXIT_ESTIMATION,
     EXIT_FORMAT,
@@ -92,6 +94,30 @@ def test_curves_csv_round_trip(tmp_path):
     grid = make_grid(101)
     assert header[1] == format(grid.points[0], ".12g")
     assert header[-1] == format(grid.points[-1], ".12g")
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("round_trip") / "curves.csv")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), n_points=st.integers(2, 6))
+def test_curves_csv_round_trip_is_exact(scratch_csv, data, n, n_points):
+    # Every finite double survives, bit for bit: signed zeros,
+    # subnormals and magnitudes near the overflow limit included.
+    special = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                               1.7976931348623157e308, -1e308])
+    value = st.one_of(special,
+                      st.floats(allow_nan=False, allow_infinity=False))
+    rows = data.draw(st.lists(st.lists(value, min_size=n_points,
+                                       max_size=n_points),
+                              min_size=n, max_size=n))
+    values = np.array(rows, dtype=float)
+    write_curves_csv(scratch_csv, FunctionalSample(grid=make_grid(n_points),
+                                                   values=values))
+    recovered = read_curves_csv(scratch_csv).values
+    assert np.array_equal(recovered.view(np.uint64), values.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passfpca import (
     DegenerateSampleError,
@@ -12,6 +14,7 @@ from passfpca import (
     EigenSystem,
     FunctionalSample,
     PairScores,
+    SCORE_LAWS,
     SimulationConfig,
     ThresholdError,
     convergence_condition,
@@ -189,6 +192,20 @@ def test_eigenratio_mc_monotone_ratios():
         assert np.all(np.diff(estimate.ratios) <= 1e-8)
 
 
+@pytest.mark.parametrize("law", SCORE_LAWS)
+def test_eigenratio_mc_untrimmed_rank_q_is_standardizer_ratio(law):
+    # With rank-q curves, no outliers and no trimming, every pair's
+    # squared norm is the sum of its q squared projections, and the
+    # fixed point reduces to the ratio of mean squared projections.
+    sample, _ = generate(SimulationConfig(n=200, score_law=law, seed=1))
+    system = eigendecompose(pass_covariance(sample), 4)
+    scores = pair_scores(sample, system, 4, 0.0)
+    estimate = eigenratio_mc(scores, system.eigenvalues)
+    assert estimate.converged
+    expected = scores.standardizers / scores.standardizers[0]
+    assert np.max(np.abs(estimate.ratios - expected)) <= 1e-6
+
+
 def test_eigenratio_mc_nonconvergence_is_flagged():
     _, system, scores = _gaussian_fit(n=100, seed=3, trim=0.02)
     estimate = eigenratio_mc(scores, system.eigenvalues, tol=1e-14,
@@ -287,6 +304,22 @@ def test_eigenratio_elliptical_gaussian_run():
     assert estimate.converged
     np.testing.assert_allclose(estimate.ratios,
                                [1.0, 0.5, 0.25, 0.125], atol=0.07)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(tail=st.lists(st.integers(50, 1000), min_size=1, max_size=4))
+def test_eigenratio_elliptical_recovers_exact_fixed_point(tail):
+    # PASS eigenvalues built from exact elliptical expectations at known
+    # ratios make those ratios the fixed point; the solver must find it.
+    ratios = np.array([1.0] + sorted((k / 1000 for k in tail),
+                                     reverse=True))
+    q = ratios.size
+    f = np.array([elliptical_expectation(ratios, k)
+                  for k in range(1, q + 1)])
+    kappa = ratios * f / f[0]
+    estimate = eigenratio_elliptical(kappa)
+    assert estimate.converged
+    assert np.max(np.abs(estimate.ratios - ratios)) <= 1e-6
 
 
 def test_eigenratio_mc_agrees_with_elliptical_on_synthetic_scores():

@@ -9,7 +9,6 @@ from passfpca import (
     ConvergenceError,
     CovarianceSurface,
     DegenerateSampleError,
-    DiagonalStateError,
     DimensionMismatchError,
     FunctionalSample,
     InsufficientSampleError,
@@ -65,7 +64,6 @@ def test_sample_covariance_identical_curves_zero():
     sample = _sample([np.arange(5.0), np.arange(5.0), np.arange(5.0)])
     surface = sample_covariance(sample)
     np.testing.assert_allclose(surface.matrix, 0.0, atol=0.0)
-    assert surface.kind == "classical"
 
 
 def test_sample_covariance_symmetric_pair():
@@ -148,6 +146,46 @@ def test_pass_covariance_unit_trace_and_translation_scale_invariance():
                                surface.matrix, atol=1e-12)
 
 
+def test_pass_covariance_near_duplicate_pairs():
+    # Two pairs sit just above the coincidence cut (relative squared
+    # distances 1e-10 and 5e-12 of the largest pair norm); their terms
+    # must enter as exactly as the well-separated ones.
+    rng = np.random.default_rng(12)
+    n_points = 30
+    base = rng.standard_normal((6, n_points))
+    spacing = 1.0 / n_points
+    diffs = base[:, None, :] - base[None, :, :]
+    max_norm = spacing * np.max(np.sum(diffs ** 2, axis=2))
+    directions = rng.standard_normal((2, n_points))
+    directions /= np.sqrt(spacing * np.sum(directions ** 2, axis=1,
+                                           keepdims=True))
+    near = [base[0] + np.sqrt(1e-10 * max_norm) * directions[0],
+            base[1] + np.sqrt(5e-12 * max_norm) * directions[1]]
+    values = np.vstack([base, near])
+    sample = _sample(values)
+
+    n = values.shape[0]
+    norms = {(i, j): spacing * np.sum((values[i] - values[j]) ** 2)
+             for i in range(n) for j in range(i + 1, n)}
+    largest = max(norms.values())
+    for i, j, rel in ((0, 6, 1e-10), (1, 7, 5e-12)):
+        assert norms[i, j] / largest == pytest.approx(rel, rel=1e-3)
+    literal = np.zeros((n_points, n_points))
+    kept = 0
+    for (i, j), norm in norms.items():
+        if norm > 1e-12 * largest:
+            diff = values[i] - values[j]
+            literal += np.outer(diff, diff) / norm
+            kept += 1
+    assert kept == len(norms)
+    literal /= kept
+
+    surface = pass_covariance(sample)
+    assert spacing * np.trace(surface.matrix) == pytest.approx(1.0,
+                                                               abs=1e-12)
+    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
 def test_pass_covariance_degenerate_sample():
     same = np.ones((4, 5))
     with pytest.raises(DegenerateSampleError):
@@ -176,7 +214,7 @@ def test_eigendecompose_synthesized_surface():
     truth = fourier_truth(grid)
     matrix = (truth.eigenfunctions * truth.eigenvalues) \
         @ truth.eigenfunctions.T
-    surface = CovarianceSurface(grid=grid, matrix=matrix, kind="classical")
+    surface = CovarianceSurface(grid=grid, matrix=matrix)
     system = eigendecompose(surface, 4)
     np.testing.assert_allclose(system.eigenvalues, truth.eigenvalues,
                                atol=1e-2)
@@ -190,8 +228,7 @@ def test_eigendecompose_synthesized_surface():
 
 def test_eigendecompose_zero_surface():
     grid = make_grid(8)
-    surface = CovarianceSurface(grid=grid, matrix=np.zeros((8, 8)),
-                                kind="classical")
+    surface = CovarianceSurface(grid=grid, matrix=np.zeros((8, 8)))
     system = eigendecompose(surface, 3)
     np.testing.assert_allclose(system.eigenvalues, 0.0, atol=0.0)
 
@@ -226,18 +263,15 @@ def test_eigendecompose_rejects_bad_inputs():
     asym = np.eye(6)
     asym[0, 5] = 1.0
     with pytest.raises(AsymmetrySurfaceError):
-        CovarianceSurface(grid=grid, matrix=asym, kind="classical")
-    surface = CovarianceSurface(grid=grid, matrix=np.eye(6),
-                                kind="classical")
+        CovarianceSurface(grid=grid, matrix=asym)
+    with pytest.raises(DimensionMismatchError):
+        CovarianceSurface(grid=grid,
+                          matrix=np.where(np.eye(6) > 0, np.nan, 0.0))
+    surface = CovarianceSurface(grid=grid, matrix=np.eye(6))
     with pytest.raises(DimensionMismatchError):
         eigendecompose(surface, 0)
     with pytest.raises(DimensionMismatchError):
         eigendecompose(surface, 7)
-    removed = CovarianceSurface(grid=grid,
-                                matrix=np.where(np.eye(6) > 0, np.nan, 0.0),
-                                kind="classical", diagonal_removed=True)
-    with pytest.raises(DiagonalStateError):
-        eigendecompose(removed, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Tests for curve pre-smoothing, diagonal removal, and covariance
-surface smoothing."""
+"""Tests for curve pre-smoothing and covariance surface smoothing."""
 
 import numpy as np
 import pytest
@@ -7,20 +6,16 @@ import pytest
 from passfpca import (
     BasisSizeError,
     CovarianceSurface,
-    DiagonalStateError,
+    DimensionMismatchError,
     FunctionalSample,
     InsufficientSampleError,
-    SchemeMismatchError,
     SimulationConfig,
-    SmoothingSpec,
     eigendecompose,
     fourier_truth,
     generate,
     make_grid,
     pass_covariance,
     presmooth,
-    remove_diagonal,
-    sample_covariance,
     smooth_surface,
 )
 
@@ -38,28 +33,12 @@ def _first_eigenfunction_mse(surface, reference):
 
 
 # ---------------------------------------------------------------------------
-# SmoothingSpec
-
-
-def test_smoothing_spec_defaults_and_validation():
-    spec = SmoothingSpec(scheme="pre_smooth")
-    assert spec.penalty is None
-    assert spec.basis_size == 15
-    with pytest.raises(SchemeMismatchError):
-        SmoothingSpec(scheme="loess")
-    with pytest.raises(ValueError):
-        SmoothingSpec(scheme="pre_smooth", penalty=-1.0)
-    with pytest.raises(BasisSizeError):
-        SmoothingSpec(scheme="smooth_cf", basis_size=3)
-
-
-# ---------------------------------------------------------------------------
 # presmooth
 
 
 def test_presmooth_zero_penalty_is_identity():
     sample = _noisy_sample(n=10, seed=3)
-    out = presmooth(sample, SmoothingSpec(scheme="pre_smooth", penalty=0.0))
+    out = presmooth(sample, penalty=0.0)
     assert np.array_equal(out.values, sample.values)
     assert out.grid == sample.grid
 
@@ -69,8 +48,7 @@ def test_presmooth_infinite_penalty_gives_least_squares_line():
     rng = np.random.default_rng(7)
     values = rng.standard_normal((4, 30))
     sample = FunctionalSample(grid=grid, values=values)
-    out = presmooth(sample,
-                    SmoothingSpec(scheme="pre_smooth", penalty=np.inf))
+    out = presmooth(sample, penalty=np.inf)
     for raw, fitted in zip(values, out.values):
         slope, intercept = np.polyfit(grid.points, raw, 1)
         line = slope * grid.points + intercept
@@ -81,14 +59,14 @@ def test_presmooth_gcv_keeps_noise_free_signals():
     grid = make_grid(101)
     truth = fourier_truth(grid)
     sample = FunctionalSample(grid=grid, values=truth.eigenfunctions.T.copy())
-    out = presmooth(sample, SmoothingSpec(scheme="pre_smooth"))
+    out = presmooth(sample)
     assert np.max(np.abs(out.values - sample.values)) < 0.05
 
 
 def test_presmooth_gcv_reduces_noise():
     clean, _ = generate(SimulationConfig(n=30, seed=11))
     noisy, _ = generate(SimulationConfig(n=30, noise_sd=1.0, seed=11))
-    smoothed = presmooth(noisy, SmoothingSpec(scheme="pre_smooth"))
+    smoothed = presmooth(noisy)
     err_raw = np.mean((noisy.values - clean.values) ** 2)
     err_smooth = np.mean((smoothed.values - clean.values) ** 2)
     assert err_smooth < 0.5 * err_raw
@@ -96,34 +74,12 @@ def test_presmooth_gcv_reduces_noise():
 
 def test_presmooth_validation():
     sample = _noisy_sample(n=5, seed=1)
-    with pytest.raises(SchemeMismatchError):
-        presmooth(sample, SmoothingSpec(scheme="smooth_cf"))
+    for penalty in (-1.0, np.nan):
+        with pytest.raises(DimensionMismatchError):
+            presmooth(sample, penalty=penalty)
     short = FunctionalSample(grid=make_grid(3), values=np.ones((2, 3)))
     with pytest.raises(InsufficientSampleError):
-        presmooth(short, SmoothingSpec(scheme="pre_smooth"))
-
-
-# ---------------------------------------------------------------------------
-# remove_diagonal
-
-
-def test_remove_diagonal_marks_diagonal_only():
-    sample = _noisy_sample(n=40, seed=2)
-    surface = sample_covariance(sample)
-    removed = remove_diagonal(surface)
-    assert removed.diagonal_removed
-    assert removed.kind == surface.kind
-    assert np.isnan(np.diag(removed.matrix)).all()
-    off = ~np.eye(surface.grid.n_points, dtype=bool)
-    assert np.array_equal(removed.matrix[off], surface.matrix[off])
-
-
-def test_remove_diagonal_idempotent():
-    surface = remove_diagonal(pass_covariance(_noisy_sample(n=20, seed=5)))
-    again = remove_diagonal(surface)
-    assert again.diagonal_removed
-    assert np.array_equal(np.nan_to_num(again.matrix),
-                          np.nan_to_num(surface.matrix))
+        presmooth(short)
 
 
 def test_noise_inflates_diagonal_only():
@@ -150,10 +106,8 @@ def test_smooth_surface_noise_free_fidelity():
     truth = fourier_truth(grid)
     matrix = (truth.eigenfunctions * truth.eigenvalues
               ) @ truth.eigenfunctions.T
-    surface = CovarianceSurface(grid=grid, matrix=matrix, kind="classical",
-                                diagonal_removed=False)
-    smoothed = smooth_surface(remove_diagonal(surface),
-                              SmoothingSpec(scheme="smooth_cf"))
+    surface = CovarianceSurface(grid=grid, matrix=matrix)
+    smoothed = smooth_surface(surface)
     phi1 = truth.eigenfunctions[:, 0]
     direct = _first_eigenfunction_mse(surface, phi1)
     after = _first_eigenfunction_mse(smoothed, phi1)
@@ -165,51 +119,55 @@ def test_smooth_surface_noisy_gaussian_accuracy():
     # the standard Gaussian setting with unit noise.
     grid = make_grid(101)
     phi1 = fourier_truth(grid).eigenfunctions[:, 0]
-    spec = SmoothingSpec(scheme="smooth_cf")
     errors = []
     for seed in range(20):
         sample, _ = generate(SimulationConfig(n=200, noise_sd=1.0,
                                               seed=seed))
-        surface = smooth_surface(remove_diagonal(pass_covariance(sample)),
-                                 spec)
+        surface = smooth_surface(pass_covariance(sample))
         errors.append(_first_eigenfunction_mse(surface, phi1))
     assert 0.9e-2 < np.mean(errors) < 2.7e-2
 
 
 def test_smooth_surface_reproduces_constants():
     grid = make_grid(40)
-    surface = CovarianceSurface(grid=grid, matrix=np.full((40, 40), 0.7),
-                                kind="classical", diagonal_removed=False)
-    smoothed = smooth_surface(remove_diagonal(surface),
-                              SmoothingSpec(scheme="smooth_cf"))
+    surface = CovarianceSurface(grid=grid, matrix=np.full((40, 40), 0.7))
+    smoothed = smooth_surface(surface)
     np.testing.assert_allclose(smoothed.matrix, 0.7, atol=1e-6)
-    assert not smoothed.diagonal_removed
+
+
+def test_smooth_surface_ignores_diagonal():
+    # The fit uses off-diagonal cells only, so any diagonal inflation,
+    # however large, leaves the result unchanged bit for bit.
+    surface = pass_covariance(_noisy_sample(n=40, noise_sd=1.0, seed=29))
+    inflated = CovarianceSurface(
+        grid=surface.grid,
+        matrix=surface.matrix + 1e3 * np.eye(surface.grid.n_points))
+    for penalty in (None, 1e-4):
+        assert np.array_equal(
+            smooth_surface(surface, penalty=penalty).matrix,
+            smooth_surface(inflated, penalty=penalty).matrix)
 
 
 def test_smooth_surface_output_exactly_symmetric():
-    surface = remove_diagonal(pass_covariance(
-        _noisy_sample(n=60, noise_sd=1.0, seed=23)))
-    smoothed = smooth_surface(surface, SmoothingSpec(scheme="smooth_cf"))
+    surface = pass_covariance(_noisy_sample(n=60, noise_sd=1.0, seed=23))
+    smoothed = smooth_surface(surface)
     assert np.array_equal(smoothed.matrix, smoothed.matrix.T)
     assert np.isfinite(smoothed.matrix).all()
 
 
 def test_smooth_surface_fixed_penalty_path():
-    surface = remove_diagonal(pass_covariance(
-        _noisy_sample(n=40, noise_sd=1.0, seed=31)))
-    manual = smooth_surface(
-        surface, SmoothingSpec(scheme="smooth_cf", penalty=1e-4))
+    surface = pass_covariance(_noisy_sample(n=40, noise_sd=1.0, seed=31))
+    manual = smooth_surface(surface, penalty=1e-4)
     assert manual.matrix.shape == surface.matrix.shape
     assert np.isfinite(manual.matrix).all()
 
 
 def test_smooth_surface_validation():
     surface = pass_covariance(_noisy_sample(n=20, seed=3))
-    removed = remove_diagonal(surface)
-    with pytest.raises(SchemeMismatchError):
-        smooth_surface(removed, SmoothingSpec(scheme="pre_smooth"))
-    with pytest.raises(DiagonalStateError):
-        smooth_surface(surface, SmoothingSpec(scheme="smooth_cf"))
-    with pytest.raises(BasisSizeError):
-        smooth_surface(removed,
-                       SmoothingSpec(scheme="smooth_cf", basis_size=102))
+    for basis_size in (3, 102):
+        with pytest.raises(BasisSizeError):
+            smooth_surface(surface, basis_size=basis_size)
+    smooth_surface(surface, basis_size=4)
+    for penalty in (-1.0, np.nan):
+        with pytest.raises(DimensionMismatchError):
+            smooth_surface(surface, penalty=penalty)
