@@ -32,6 +32,7 @@ from .errors import (
     InsufficientSampleError,
     InvalidGridError,
     PassFpcaError,
+    SampleTooLargeError,
     ThresholdError,
 )
 from .estimators import (
@@ -111,6 +112,7 @@ __all__ = [
     "SCHEME_PRE_SMOOTH",
     "SCHEME_SMOOTH_CF",
     "SCORE_LAWS",
+    "SampleTooLargeError",
     "SimulationConfig",
     "SolverOptions",
     "ThresholdError",

@@ -32,7 +32,7 @@ from .errors import (
     InsufficientSampleError,
     ThresholdError,
 )
-from .estimators import EigenSystem
+from .estimators import EigenSystem, _check_memory
 from .grid import FunctionalSample
 
 __all__ = [
@@ -141,6 +141,21 @@ class ConvergenceDiagnostic:
     margin: np.ndarray
 
 
+def _trim_largest(magnitudes: np.ndarray, n_trim: int,
+                  retained: np.ndarray) -> None:
+    """Clear ``retained`` at the ``n_trim`` largest ``magnitudes``.
+
+    Ties at the threshold go to the highest indices, the choice of a
+    stable ascending sort, found by a partition instead of a sort.
+    """
+    cut = magnitudes.size - n_trim
+    threshold = np.partition(magnitudes, cut)[cut]
+    above = magnitudes > threshold
+    retained[above] = False
+    ties = np.flatnonzero(magnitudes == threshold)
+    retained[ties[ties.size - (n_trim - np.count_nonzero(above)):]] = False
+
+
 def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
                 q: int, trim_fraction: float = 0.02) -> PairScores:
     """Project all pairwise curve differences onto the leading
@@ -167,6 +182,12 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     -------
     PairScores
         Standardized projections with their retention mask.
+
+    Raises
+    ------
+    SampleTooLargeError
+        When the ``P x q`` score arrays would exceed physical memory;
+        raised before they are allocated.
     """
     if sample.n < 2:
         raise InsufficientSampleError(
@@ -177,23 +198,26 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     if not 0.0 <= trim_fraction <= 0.1:
         raise DimensionMismatchError(
             f"trim_fraction must be in [0, 0.1], got {trim_fraction}")
+    n = sample.n
+    n_pairs = n * (n - 1) // 2
+    # Raw and standardized scores, the mask, and the pair indices.
+    _check_memory(n_pairs * (17 * q + 16),
+                  f"the pair projections of {n} curves")
     values = sample.values
     basis = eigensystem.eigenfunctions[:, :q]
     spacing = sample.grid.spacing
     # Projections of each curve, combined pairwise by subtraction.
     curve_proj = spacing * (values @ basis)
-    n = sample.n
     i_idx, j_idx = np.triu_indices(n, k=1)
     raw = curve_proj[i_idx] - curve_proj[j_idx]
-    n_pairs = raw.shape[0]
+    del i_idx, j_idx
     n_trim = math.ceil(trim_fraction * n_pairs) if trim_fraction > 0 else 0
     retained = np.ones((n_pairs, q), dtype=bool)
     standardizers = np.empty(q)
     scores = np.empty_like(raw)
     for col in range(q):
         if n_trim > 0:
-            order = np.argsort(np.abs(raw[:, col]), kind="stable")
-            retained[order[n_pairs - n_trim:], col] = False
+            _trim_largest(np.abs(raw[:, col]), n_trim, retained[:, col])
         kept = raw[retained[:, col], col]
         if kept.size == 0:
             raise DegenerateSampleError(

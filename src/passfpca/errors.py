@@ -20,6 +20,7 @@ __all__ = [
     "AsymmetrySurfaceError",
     "BasisSizeError",
     "ThresholdError",
+    "SampleTooLargeError",
     "ConvergenceError",
 ]
 
@@ -55,6 +56,11 @@ class BasisSizeError(PassFpcaError, ValueError):
 
 class ThresholdError(PassFpcaError, ValueError):
     """A selection threshold can never be reached by the given sequence."""
+
+
+class SampleTooLargeError(PassFpcaError, MemoryError):
+    """A pairwise computation would need more memory than the machine
+    has; raised before the large arrays are allocated."""
 
 
 class ConvergenceError(PassFpcaError, RuntimeError):

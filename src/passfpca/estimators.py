@@ -19,9 +19,12 @@ about the spatial median is included for benchmarking.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     AsymmetrySurfaceError,
@@ -29,6 +32,7 @@ from .errors import (
     DegenerateSampleError,
     DimensionMismatchError,
     InsufficientSampleError,
+    SampleTooLargeError,
 )
 from .grid import FunctionalSample, Grid
 
@@ -46,6 +50,16 @@ __all__ = [
 # Pairs whose squared norm falls at or below this relative threshold are
 # treated as coincident curves and excluded from the pairwise average.
 _DEGENERATE_REL_TOL = 1e-12
+
+# Pairs with ||x_i - x_j||^2 at or below this fraction of
+# ||x_i||^2 + ||x_j||^2 (median-centred) enter the PASS sum term by term.
+# The Laplacian form rounds a pair's term with a relative error of about
+# eps * (||x_i||^2 + ||x_j||^2) / ||x_i - x_j||^2; the cut caps that
+# factor at 1e3.
+_CLOSE_REL_TOL = 1e-3
+
+# Scratch bytes for one block of weight rows or one chunk of close pairs.
+_BLOCK_BYTES = 1 << 22
 
 # Absolute symmetry tolerance for covariance surfaces.
 _SYMMETRY_ATOL = 1e-10
@@ -154,13 +168,26 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     return CovarianceSurface(grid=sample.grid, matrix=acc / (n - 1))
 
 
-def _pairwise_sq_norms(values: np.ndarray, spacing: float) -> list[np.ndarray]:
-    """Squared quadrature norms of x_i - x_j for j > i, one array per i."""
-    out = []
-    for i in range(values.shape[0] - 1):
-        diff = values[i + 1:] - values[i]
-        out.append(spacing * np.einsum("ij,ij->i", diff, diff))
-    return out
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system cannot say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page_size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    if pages <= 0 or page_size <= 0:
+        return None
+    return pages * page_size
+
+
+def _check_memory(n_bytes: int, what: str) -> None:
+    """Raise :class:`SampleTooLargeError` before allocating ``n_bytes``
+    that exceed the machine's physical memory."""
+    available = _physical_memory()
+    if available is not None and n_bytes > available:
+        raise SampleTooLargeError(
+            f"{what} would need about {n_bytes / 2 ** 30:.1f} GiB, more "
+            f"than the {available / 2 ** 30:.1f} GiB of physical memory")
 
 
 def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
@@ -182,33 +209,92 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     -------
     CovarianceSurface
         Surface whose trace times the quadrature weight equals one.
+
+    Raises
+    ------
+    SampleTooLargeError
+        When the ``n x n`` pair weights would exceed physical memory;
+        raised before anything large is allocated.
+
+    Notes
+    -----
+    The pair sum is a graph-Laplacian quadratic form,
+
+        sum_{j<k} w_jk (x_j - x_k)(x_j - x_k)^T = X^T (D - W) X,
+
+    with weights ``w_jk = 1 / ||x_j - x_k||^2`` and ``D`` the diagonal of
+    the row sums of ``W``.  It is evaluated as ``(D - W) X`` and then
+    ``X^T [(D - W) X]``, two matrix products costing ``O(n^2 N + n N^2)``
+    in all instead of ``n^2 / 2`` outer products at ``O(N^2)`` each.  The
+    squared pair norms come from exact differences, never from the Gram
+    matrix.  The Laplacian annihilates constants, so the rows of ``X``
+    are first centred at the coordinatewise median, which keeps the bulk
+    curves' norms small even when outliers shift the mean.  The form
+    still cancels for a pair that is close next to its curves' norms, by
+    a factor of about ``(||x_j||^2 + ||x_k||^2) / ||d||^2``: a pair with
+    ``||d||^2 <= 1e-3 (||x_j||^2 + ||x_k||^2)`` (centred norms) is left
+    out of ``W``, and its term ``d d^T / ||d||^2`` is added directly, a
+    bounded chunk of pairs at a time.  The result agrees with the
+    literal per-pair average to rounding.
     """
     n = sample.n
     if n < 2:
         raise InsufficientSampleError(
             f"pairwise covariance needs at least 2 curves, got {n}")
+    # The n x n weights plus the condensed squared norms they come from.
+    _check_memory(8 * n * n + 4 * n * (n - 1),
+                  f"the pair weights of {n} curves")
     values = sample.values
     spacing = sample.grid.spacing
-    norms = _pairwise_sq_norms(values, spacing)
-    max_norm = max((chunk.max() for chunk in norms if chunk.size), default=0.0)
+    n_points = sample.grid.n_points
+    condensed = pdist(values, "sqeuclidean")
+    condensed *= spacing
+    sq_norms = squareform(condensed)
+    del condensed
+    max_norm = sq_norms.max()
     if max_norm <= 0.0:
         raise DegenerateSampleError(
             "all curve pairs are coincident; the pairwise covariance is "
             "undefined")
     threshold = _DEGENERATE_REL_TOL * max_norm
-    acc = np.zeros((sample.grid.n_points, sample.grid.n_points))
+    centred = values - np.median(values, axis=0)
+    radii = spacing * np.einsum("ij,ij->i", centred, centred)
+    # Turn sq_norms, block of rows by block of rows, into the symmetric
+    # weights of the pairs the Laplacian sums, and add the close pairs'
+    # terms directly.
+    weights = sq_norms
+    close_acc = np.zeros((n_points, n_points))
     retained = 0
-    for i, chunk in enumerate(norms):
-        keep = chunk > threshold
-        if not np.any(keep):
-            continue
-        diff = (values[i + 1:] - values[i])[keep]
-        acc += (diff / chunk[keep][:, None]).T @ diff
-        retained += int(keep.sum())
+    rows_per_block = max(1, _BLOCK_BYTES // (8 * n))
+    pairs_per_chunk = max(1, _BLOCK_BYTES // (8 * n_points))
+    for start in range(0, n, rows_per_block):
+        rows = slice(start, min(start + rows_per_block, n))
+        block = sq_norms[rows]
+        keep = block > threshold
+        close = keep & (block <= _CLOSE_REL_TOL
+                        * (radii[rows, None] + radii))
+        retained += int(np.count_nonzero(keep))
+        # Each close pair once, from its upper-triangle cell (j > i).
+        first, second = np.nonzero(np.triu(close, start + 1))
+        first += start
+        for lo in range(0, first.size, pairs_per_chunk):
+            i = first[lo:lo + pairs_per_chunk]
+            j = second[lo:lo + pairs_per_chunk]
+            diff = values[i] - values[j]
+            close_acc += (diff / sq_norms[i, j][:, None]).T @ diff
+        far = keep & ~close
+        np.divide(1.0, block, out=block, where=far)
+        block[~far] = 0.0
+    # Each retained pair was counted from both of its rows.
+    retained //= 2
     if retained == 0:
         raise DegenerateSampleError(
             "all curve pairs are coincident; the pairwise covariance is "
             "undefined")
+    # (D - W) X first, so each row's cancellation happens in one vector.
+    laplacian_x = weights.sum(axis=1)[:, None] * centred - weights @ centred
+    acc = centred.T @ laplacian_x
+    acc += close_acc
     acc /= retained
     acc = 0.5 * (acc + acc.T)
     return CovarianceSurface(grid=sample.grid, matrix=acc)

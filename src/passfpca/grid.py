@@ -57,6 +57,11 @@ class Grid:
         if abs(self.spacing * self.n_points - 1.0) > _GRID_RTOL:
             raise InvalidGridError(
                 "spacing times n_points must equal 1 (unit-interval convention)")
+        # With equal steps of 1/N, ending at 1 pins every point to j/N.
+        if abs(pts[-1] - 1.0) > _GRID_RTOL:
+            raise InvalidGridError(
+                f"the last grid point must be 1 (points t_j = j/N), got "
+                f"{float(pts[-1])}")
         object.__setattr__(self, "points", pts)
 
 

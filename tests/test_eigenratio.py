@@ -2,6 +2,7 @@
 convergence diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from passfpca import (
     FunctionalSample,
     PairScores,
     SCORE_LAWS,
+    SampleTooLargeError,
     SimulationConfig,
     ThresholdError,
     convergence_condition,
@@ -30,6 +32,7 @@ from passfpca import (
     rank_select,
     sample_covariance,
 )
+from passfpca import estimators
 
 
 def _gaussian_fit(n, seed, trim=0.0):
@@ -93,6 +96,55 @@ def test_pair_scores_trimmed_are_the_largest():
         kept = np.abs(scores.scores[scores.retained[:, col], col])
         cut = np.abs(scores.scores[~scores.retained[:, col], col])
         assert kept.max() <= cut.min() + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 30), log_points=st.integers(1, 4),
+       q=st.integers(1, 3), trim_fraction=st.floats(0.001, 0.1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_scores_trim_matches_stable_sort_on_ties(
+        n, log_points, q, trim_fraction, seed):
+    # Small-integer curves and basis on a power-of-two grid make every
+    # projection exact, so many pairs tie at the trimming threshold.
+    rng = np.random.default_rng(seed)
+    n_points = 2 ** log_points
+    grid = make_grid(n_points)
+    values = rng.integers(-2, 3, size=(n, n_points)).astype(float)
+    basis = rng.integers(-1, 2, size=(n_points, q)).astype(float)
+    basis[0] = 1.0
+    system = EigenSystem(grid=grid, eigenvalues=np.ones(q),
+                         eigenfunctions=basis, q=q)
+    sample = FunctionalSample(grid=grid, values=values)
+    try:
+        scores = pair_scores(sample, system, q, trim_fraction)
+    except DegenerateSampleError:
+        return
+    proj = grid.spacing * (values @ basis)
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    raw = proj[i_idx] - proj[j_idx]
+    n_pairs = raw.shape[0]
+    n_trim = math.ceil(trim_fraction * n_pairs)
+    expected = np.ones((n_pairs, q), dtype=bool)
+    for col in range(q):
+        order = np.argsort(np.abs(raw[:, col]), kind="stable")
+        expected[order[n_pairs - n_trim:], col] = False
+    np.testing.assert_array_equal(scores.retained, expected)
+
+
+def test_pair_scores_fails_fast_on_huge_samples(monkeypatch):
+    monkeypatch.setattr(estimators, "_physical_memory", lambda: 16 * 2 ** 30)
+    grid = make_grid(2)
+    sample = FunctionalSample(grid=grid, values=np.zeros((100_000, 2)))
+    system = EigenSystem(grid=grid, eigenvalues=np.ones(1),
+                         eigenfunctions=np.ones((2, 1)), q=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SampleTooLargeError):
+            pair_scores(sample, system, 1, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_pair_scores_validation():

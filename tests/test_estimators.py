@@ -1,8 +1,13 @@
 """Tests for covariance estimators, eigendecomposition, and the
 spherical comparator."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passfpca import (
     AsymmetrySurfaceError,
@@ -12,6 +17,7 @@ from passfpca import (
     DimensionMismatchError,
     FunctionalSample,
     InsufficientSampleError,
+    SampleTooLargeError,
     SimulationConfig,
     eigendecompose,
     fourier_truth,
@@ -25,6 +31,7 @@ from passfpca import (
     sample_covariance,
     spatial_median,
 )
+from passfpca import estimators
 
 
 def _sample(values):
@@ -184,6 +191,81 @@ def test_pass_covariance_near_duplicate_pairs():
     assert spacing * np.trace(surface.matrix) == pytest.approx(1.0,
                                                                abs=1e-12)
     assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
+def _literal_pass(values):
+    """The PASS average written out pair by pair."""
+    n, n_points = values.shape
+    spacing = 1.0 / n_points
+    norms = {(i, j): spacing * np.sum((values[i] - values[j]) ** 2)
+             for i in range(n) for j in range(i + 1, n)}
+    largest = max(norms.values())
+    acc = np.zeros((n_points, n_points))
+    kept = 0
+    for (i, j), norm in norms.items():
+        if norm > 1e-12 * largest:
+            diff = values[i] - values[j]
+            acc += np.outer(diff, diff) / norm
+            kept += 1
+    return acc / kept
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 12), n_points=st.integers(3, 20),
+       seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.floats(-1e4, 1e4),
+       outlier_scale=st.floats(1.0, 1e4),
+       near_rel=st.floats(1e-11, 1e-5),
+       picks=st.tuples(st.integers(0, 11), st.integers(0, 11)))
+def test_pass_covariance_matches_literal_pair_loop(
+        n, n_points, seed, offset, outlier_scale, near_rel, picks):
+    # n distinct curves, one of them an outlier, plus an exact duplicate
+    # of one curve and a near duplicate of another, all under a constant
+    # offset.
+    rng = np.random.default_rng(seed)
+    spacing = 1.0 / n_points
+    base = rng.standard_normal((n, n_points))
+    base[0] *= outlier_scale
+    diffs = base[:, None, :] - base[None, :, :]
+    largest = spacing * np.max(np.sum(diffs ** 2, axis=2))
+    direction = rng.standard_normal(n_points)
+    direction /= np.sqrt(spacing * direction @ direction)
+    duplicate = base[picks[0] % n]
+    near = base[picks[1] % n] + np.sqrt(near_rel * largest) * direction
+    values = np.vstack([base, duplicate, near]) + offset
+    literal = _literal_pass(values)
+    surface = pass_covariance(_sample(values))
+    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
+def test_pass_covariance_fails_fast_on_huge_samples(monkeypatch):
+    # 100,000 curves need about 112 GiB of pair weights; the guard must
+    # refuse before allocating them.  Physical memory is pinned so the
+    # test cannot try the allocation on a machine that has that much.
+    monkeypatch.setattr(estimators, "_physical_memory", lambda: 16 * 2 ** 30)
+    sample = _sample(np.zeros((100_000, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SampleTooLargeError):
+            pass_covariance(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_physical_memory_is_optional(monkeypatch):
+    memory = estimators._physical_memory()
+    assert memory is None or memory > 0
+
+    def unsupported(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(os, "sysconf", unsupported)
+    assert estimators._physical_memory() is None
+    # Without a reading there is no guard.
+    surface = pass_covariance(_sample([[0.0, 1.0], [1.0, 0.0]]))
+    assert 0.5 * np.trace(surface.matrix) == pytest.approx(1.0)
 
 
 def test_pass_covariance_degenerate_sample():

@@ -49,6 +49,20 @@ def test_grid_validates_fields():
         Grid(n_points=4, points=np.array([0.5, 1.0, 1.5, 2.0]), spacing=0.5)
 
 
+def test_grid_rejects_points_off_the_unit_interval():
+    # Equal steps of 1/N that do not end at 1 used to be accepted, and
+    # smooth_surface then failed inside scipy with "Out of bounds".
+    with pytest.raises(InvalidGridError):
+        Grid(n_points=5, points=np.array([0.5, 0.7, 0.9, 1.1, 1.3]),
+             spacing=0.2)
+    with pytest.raises(InvalidGridError):
+        Grid(n_points=4, points=np.array([0.0, 0.25, 0.5, 0.75]),
+             spacing=0.25)
+    grid = Grid(n_points=4, points=np.array([0.25, 0.5, 0.75, 1.0]),
+                spacing=0.25)
+    np.testing.assert_array_equal(grid.points, make_grid(4).points)
+
+
 def test_inner_product_constant_is_one():
     for n_points in (5, 49, 101):
         grid = make_grid(n_points)
