@@ -414,14 +414,25 @@ def build_parser() -> argparse.ArgumentParser:
                           "_truth.csv suffix)")
     sim.set_defaults(func=cmd_simulate)
 
+    # Flags shared by fit and ratio.
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--input", required=True, help="curves CSV path")
+    solver.add_argument("--q", type=int, default=4,
+                        help="number of components (default 4)")
+    solver.add_argument("--trim", type=float, default=0.02,
+                        help="pair trimming fraction for the ratio solver "
+                             "(default 0.02)")
+    solver.add_argument("--tol", type=float, default=1e-8,
+                        help="ratio solver tolerance (default 1e-8)")
+    solver.add_argument("--max-iter", type=int, default=500,
+                        help="ratio solver iteration budget (default 500)")
+
     fit = sub.add_parser(
-        "fit", help="estimate eigenfunctions (and ratios) from curves")
-    fit.add_argument("--input", required=True, help="curves CSV path")
+        "fit", parents=[solver],
+        help="estimate eigenfunctions (and ratios) from curves")
     fit.add_argument("--method", choices=EIGENFUNCTION_METHODS,
                      default="pass",
                      help="surface estimator (default pass)")
-    fit.add_argument("--q", type=int, default=4,
-                     help="number of components (default 4)")
     fit.add_argument("--smoothing",
                      choices=("none", SCHEME_PRE_SMOOTH, SCHEME_SMOOTH_CF),
                      default="none",
@@ -429,13 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--basis-size", type=int, default=15,
                      help="marginal spline basis for smooth_cf "
                           "(default 15)")
-    fit.add_argument("--trim", type=float, default=0.02,
-                     help="pair trimming fraction for the ratio solver "
-                          "(default 0.02)")
-    fit.add_argument("--tol", type=float, default=1e-8,
-                     help="ratio solver tolerance (default 1e-8)")
-    fit.add_argument("--max-iter", type=int, default=500,
-                     help="ratio solver iteration budget (default 500)")
     fit.add_argument("--eigenfunctions", required=True,
                      help="output CSV for eigenfunctions")
     fit.add_argument("--result", default=None,
@@ -443,23 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     ratio = sub.add_parser(
-        "ratio", help="estimate eigenvalue ratios from curves")
-    ratio.add_argument("--input", required=True, help="curves CSV path")
+        "ratio", parents=[solver],
+        help="estimate eigenvalue ratios from curves")
     ratio.add_argument("--solver", choices=("mc", "elliptical"),
                        default="mc",
                        help="expectation evaluation (default mc)")
-    ratio.add_argument("--q", type=int, default=4,
-                       help="number of components (default 4)")
     ratio.add_argument("--smoothing",
                        choices=("none", SCHEME_PRE_SMOOTH),
                        default="none",
                        help="optional curve pre-smoothing (default none)")
-    ratio.add_argument("--trim", type=float, default=0.02,
-                       help="pair trimming fraction (default 0.02)")
-    ratio.add_argument("--tol", type=float, default=1e-8,
-                       help="fixed-point tolerance (default 1e-8)")
-    ratio.add_argument("--max-iter", type=int, default=500,
-                       help="iteration budget (default 500)")
     ratio.add_argument("--result", required=True,
                        help="output JSON result document")
     ratio.set_defaults(func=cmd_ratio)

@@ -244,7 +244,10 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     # The n x n weights plus the condensed squared norms they come from.
     _check_memory(8 * n * n + 4 * n * (n - 1),
                   f"the pair weights of {n} curves")
+    # PASS is scale-invariant and power-of-two scaling is exact, so take
+    # max |x| into [0.5, 1), where squared pair norms cannot overflow.
     values = sample.values
+    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     spacing = sample.grid.spacing
     n_points = sample.grid.n_points
     condensed = pdist(values, "sqeuclidean")

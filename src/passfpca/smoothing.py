@@ -28,7 +28,7 @@ from scipy.linalg import cholesky, solve_triangular
 from .errors import (BasisSizeError, DimensionMismatchError,
                      InsufficientSampleError)
 from .estimators import CovarianceSurface
-from .grid import FunctionalSample
+from .grid import FunctionalSample, make_grid
 
 __all__ = [
     "SCHEME_PRE_SMOOTH",
@@ -199,9 +199,8 @@ class _SurfaceSmoother:
 
 
 @lru_cache(maxsize=_CACHED_GRIDS)
-def _surface_smoother(n_points: int, basis_size: int,
-                      points: bytes) -> _SurfaceSmoother:
-    return _SurfaceSmoother(np.frombuffer(points), basis_size)
+def _surface_smoother(n_points: int, basis_size: int) -> _SurfaceSmoother:
+    return _SurfaceSmoother(make_grid(n_points).points, basis_size)
 
 
 def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
@@ -237,7 +236,6 @@ def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
         raise BasisSizeError(
             f"basis_size must be between 4 and the grid size "
             f"{grid.n_points}, got {basis_size}")
-    smoother = _surface_smoother(grid.n_points, basis_size,
-                                 grid.points.tobytes())
+    smoother = _surface_smoother(grid.n_points, basis_size)
     return CovarianceSurface(grid=grid,
                              matrix=smoother.fit(surface.matrix, penalty))

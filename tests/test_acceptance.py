@@ -269,12 +269,12 @@ def test_criterion_6():
         mc = sums / 1e7
         for j in range(1, q + 1):
             worst = max(worst,
-                        abs(elliptical_expectation(ratios, j) - mc[j - 1]))
+                        abs(elliptical_expectation(ratios)[j - 1] - mc[j - 1]))
     if worst > 1e-3:
         failures.append(f"integral vs Monte Carlo {worst:.2e}")
     # Pairwise solver against the integral solver on synthetic scores.
     truth = np.array([1.0, 0.5, 0.25, 0.125])
-    evaluations = np.array([elliptical_expectation(truth, j)
+    evaluations = np.array([elliptical_expectation(truth)[j - 1]
                             for j in range(1, 5)])
     kappa = truth * evaluations / evaluations[0]
     raw = np.random.default_rng(MASTER_SEED).standard_normal((100_000, 4))

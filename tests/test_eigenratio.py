@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from passfpca import (
     DegenerateSampleError,
@@ -268,6 +269,55 @@ def test_eigenratio_mc_nonconvergence_is_flagged():
     assert estimate.ratios[0] == 1.0
 
 
+def test_eigenratio_mc_ignores_all_zero_rows():
+    _, system, scores = _gaussian_fit(n=100, seed=21, trim=0.02)
+    # Five jointly retained all-zero rows, at the ends and inside.
+    positions = [0, 1, 1, 500, scores.n_pairs]
+    padded = PairScores(
+        q=4, scores=np.insert(scores.scores, positions, 0.0, axis=0),
+        standardizers=scores.standardizers, trim_fraction=0.02,
+        retained=np.insert(scores.retained, positions, True, axis=0))
+    base = eigenratio_mc(scores, system.eigenvalues)
+    again = eigenratio_mc(padded, system.eigenvalues)
+    assert np.array_equal(again.ratios, base.ratios)
+    assert again.iterations == base.iterations
+    x_star = base.ratios[1:]
+    assert np.array_equal(convergence_condition(padded, x_star).margin,
+                          convergence_condition(scores, x_star).margin)
+
+
+def test_eigenratio_mc_no_joint_pair():
+    # Each pair is trimmed in some component, so none is kept in all.
+    rng = np.random.default_rng(3)
+    retained = np.ones((6, 3), dtype=bool)
+    retained[[0, 1], 0] = False
+    retained[[2, 3], 1] = False
+    retained[[4, 5], 2] = False
+    scores = PairScores(q=3, scores=rng.standard_normal((6, 3)),
+                        standardizers=np.ones(3), trim_fraction=0.1,
+                        retained=retained)
+    with pytest.raises(DegenerateSampleError, match="no pair is retained"):
+        eigenratio_mc(scores, np.array([1.0, 0.5, 0.25]))
+    with pytest.raises(DegenerateSampleError, match="no pair is retained"):
+        convergence_condition(scores, [0.5, 0.25])
+
+
+def test_eigenratio_mc_all_joint_rows_zero():
+    # The jointly retained pairs project to zero; only pairs trimmed in
+    # some component carry signal.
+    rng = np.random.default_rng(4)
+    values = np.zeros((6, 2))
+    values[:3] = rng.standard_normal((3, 2))
+    retained = np.ones((6, 2), dtype=bool)
+    retained[:3, 0] = False
+    scores = PairScores(q=2, scores=values, standardizers=np.ones(2),
+                        trim_fraction=0.1, retained=retained)
+    with pytest.raises(DegenerateSampleError, match="zero projection norm"):
+        eigenratio_mc(scores, np.array([1.0, 0.5]))
+    with pytest.raises(DegenerateSampleError, match="zero projection norm"):
+        convergence_condition(scores, [0.5])
+
+
 def test_eigenratio_mc_validation():
     _, system, scores = _gaussian_fit(n=50, seed=6, trim=0.0)
     with pytest.raises(DegenerateSampleError):
@@ -286,28 +336,30 @@ def test_eigenratio_mc_validation():
 
 
 def test_elliptical_expectation_symmetric_half():
-    assert elliptical_expectation([1.0, 1.0], 1) == pytest.approx(
+    assert elliptical_expectation([1.0, 1.0])[0] == pytest.approx(
         0.5, abs=1e-9)
-    assert elliptical_expectation([1.0, 1.0], 2) == pytest.approx(
+    assert elliptical_expectation([1.0, 1.0])[1] == pytest.approx(
         0.5, abs=1e-9)
 
 
 def test_elliptical_expectation_two_component_closed_form():
     # E[U1^2 / (U1^2 + x U2^2)] = 1 / (1 + sqrt(x)).
     for x in (0.5, 0.25, 0.1, 0.9):
-        value = elliptical_expectation([1.0, x], 1)
+        value = elliptical_expectation([1.0, x])[0]
         assert value == pytest.approx(1.0 / (1.0 + math.sqrt(x)), abs=1e-8)
-    assert elliptical_expectation([1.0, 0.5], 1) == pytest.approx(
+    assert elliptical_expectation([1.0, 0.5])[0] == pytest.approx(
         2.0 - math.sqrt(2.0), abs=1e-8)
 
 
 def test_elliptical_expectation_vanishing_second_component():
-    assert elliptical_expectation([1.0, 1e-12], 1) == pytest.approx(
+    assert elliptical_expectation([1.0, 1e-12])[0] == pytest.approx(
         1.0, abs=1e-5)
 
 
 def test_elliptical_expectation_single_component():
-    assert elliptical_expectation([2.5], 1) == 1.0
+    # E[U^2 / (r U^2)] = 1 / r.
+    assert elliptical_expectation([2.5])[0] == pytest.approx(
+        0.4, rel=1e-14)
 
 
 def test_elliptical_expectation_sum_identity():
@@ -315,7 +367,7 @@ def test_elliptical_expectation_sum_identity():
     for _ in range(10):
         q = rng.integers(2, 7)
         ratios = rng.uniform(0.05, 2.0, size=q)
-        total = sum(ratios[j - 1] * elliptical_expectation(ratios, j)
+        total = sum(ratios[j - 1] * elliptical_expectation(ratios)[j - 1]
                     for j in range(1, q + 1))
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -327,17 +379,45 @@ def test_elliptical_expectation_monte_carlo_spot_check():
     weighted = (draws ** 2 * ratios).sum(axis=1)
     for j in (1, 3):
         mc = np.mean(draws[:, j - 1] ** 2 / weighted)
-        assert elliptical_expectation(ratios, j) == pytest.approx(
+        assert elliptical_expectation(ratios)[j - 1] == pytest.approx(
             mc, abs=3e-3)
 
 
 def test_elliptical_expectation_validation():
     with pytest.raises(DimensionMismatchError):
-        elliptical_expectation([1.0, -0.5], 1)
-    with pytest.raises(DimensionMismatchError):
-        elliptical_expectation([1.0, 0.5], 0)
-    with pytest.raises(DimensionMismatchError):
-        elliptical_expectation([1.0, 0.5], 3)
+        elliptical_expectation([1.0, -0.5])
+
+
+@pytest.mark.parametrize("x", [1e-7, 1e-12, 1e-26, 1e-50, 1e-100,
+                               1e-200, 1e-300])
+def test_elliptical_expectation_two_component_small_ratios(x):
+    f = elliptical_expectation([1.0, x])
+    assert f[0] == pytest.approx(1.0 / (1.0 + math.sqrt(x)), rel=1e-12)
+    assert f[1] == pytest.approx(1.0 / (x + math.sqrt(x)), rel=1e-12)
+
+
+def _quad_expectations(ratios):
+    """The integral by adaptive quadrature over v in [0, inf)."""
+    def integrand(v, j):
+        return 0.5 / ((1.0 + ratios[j] * v)
+                      * np.prod(np.sqrt(1.0 + ratios * v)))
+    return np.array([quad(integrand, 0.0, np.inf, args=(j,), epsabs=0.0,
+                          epsrel=1e-12, limit=200)[0]
+                     for j in range(ratios.size)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(decades=st.sampled_from([4, 300]),
+       exponents=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_elliptical_expectation_log_uniform_ratios(decades, exponents):
+    ratios = 10.0 ** (-decades * np.array(exponents))
+    f = elliptical_expectation(ratios)
+    assert f.shape == ratios.shape
+    assert np.all(np.isfinite(f)) and np.all(f > 0.0)
+    assert abs(ratios @ f - 1.0) <= 1e-12
+    if decades == 4:
+        np.testing.assert_allclose(f, _quad_expectations(ratios),
+                                   rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +446,7 @@ def test_eigenratio_elliptical_recovers_exact_fixed_point(tail):
     ratios = np.array([1.0] + sorted((k / 1000 for k in tail),
                                      reverse=True))
     q = ratios.size
-    f = np.array([elliptical_expectation(ratios, k)
+    f = np.array([elliptical_expectation(ratios)[k - 1]
                   for k in range(1, q + 1)])
     kappa = ratios * f / f[0]
     estimate = eigenratio_elliptical(kappa)
@@ -374,11 +454,23 @@ def test_eigenratio_elliptical_recovers_exact_fixed_point(tail):
     assert np.max(np.abs(estimate.ratios - ratios)) <= 1e-6
 
 
+@pytest.mark.parametrize("x", [1e-7, 1e-9, 1e-12])
+def test_eigenratio_elliptical_tiny_ratio(x):
+    # At q = 2 the PASS ratio sqrt(x) has the fixed point x.
+    kappa = np.array([1.0, math.sqrt(x)])
+    estimate = eigenratio_elliptical(kappa)
+    assert estimate.converged
+    assert abs(estimate.ratios[1] - x) <= 1e-8
+    precise = eigenratio_elliptical(kappa, tol=1e-6 * x)
+    assert precise.converged
+    assert abs(precise.ratios[1] - x) <= 1e-6 * x
+
+
 def test_eigenratio_mc_agrees_with_elliptical_on_synthetic_scores():
     # Scores drawn from the Gaussian model make the pair average and the
     # integral two estimates of the same expectation.
     truth = np.array([1.0, 0.5, 0.25, 0.125])
-    evaluations = np.array([elliptical_expectation(truth, j)
+    evaluations = np.array([elliptical_expectation(truth)[j - 1]
                             for j in range(1, 5)])
     kappa = truth * evaluations / evaluations[0]
     rng = np.random.default_rng(314)

@@ -153,6 +153,24 @@ def test_pass_covariance_unit_trace_and_translation_scale_invariance():
                                surface.matrix, atol=1e-12)
 
 
+def test_pass_covariance_huge_values():
+    # Squared pair norms of these curves overflow unless the sample is
+    # rescaled first.
+    values = np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 1.0],
+                       [1.0, 2.0, 3.0]])
+    surface = pass_covariance(_sample(values))
+    assert np.all(np.isfinite(surface.matrix))
+    assert surface.grid.spacing * np.trace(surface.matrix) == pytest.approx(
+        1.0, abs=1e-12)
+    np.testing.assert_allclose(
+        surface.matrix, pass_covariance(_sample(values * 1e-200)).matrix,
+        rtol=0.0, atol=1e-12)
+    # Power-of-two scalings are exact, so the surface does not move a bit.
+    for power in (-600, 300):
+        scaled = pass_covariance(_sample(np.ldexp(values, power)))
+        assert np.array_equal(scaled.matrix, surface.matrix)
+
+
 def test_pass_covariance_near_duplicate_pairs():
     # Two pairs sit just above the coincidence cut (relative squared
     # distances 1e-10 and 5e-12 of the largest pair norm); their terms

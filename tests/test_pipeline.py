@@ -3,10 +3,11 @@ properties, and exact agreement between the command line and the
 harness, which both run their stages through it."""
 
 import json
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passfpca import (
@@ -29,6 +30,8 @@ def _pass_surface(values):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@example(n=5, n_points=6, seed=0, shift=3.0, scale=1e160, negate=True,
+         order=random.Random(0))
 @given(n=st.integers(3, 12), n_points=st.integers(4, 24),
        seed=st.integers(0, 2 ** 32 - 1),
        shift=st.floats(-100.0, 100.0),
