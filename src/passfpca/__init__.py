@@ -12,8 +12,6 @@ approaches.
 from .eigenratio import (
     ConvergenceDiagnostic,
     EigenratioEstimate,
-    METHOD_ELLIPTICAL,
-    METHOD_MONTE_CARLO,
     PairScores,
     convergence_condition,
     cpve,
@@ -101,8 +99,6 @@ __all__ = [
     "GroundTruth",
     "InsufficientSampleError",
     "InvalidGridError",
-    "METHOD_ELLIPTICAL",
-    "METHOD_MONTE_CARLO",
     "OUTLIER_SCHEMES",
     "PairScores",
     "PassFpcaError",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -123,7 +124,7 @@ def read_curves_csv(path: str) -> FunctionalSample:
         raise _FormatError(
             f"{path}:{line_nos[int(np.argmin(finite))]}: curve values "
             f"must be finite")
-    return FunctionalSample(grid=grid, values=values)
+    return FunctionalSample(values)
 
 
 def write_truth_csv(path: str, truth, grid) -> None:
@@ -261,9 +262,8 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SETTING_KEYS = {"n", "n_points", "score_law", "outlier_scheme",
-                 "outlier_fraction", "noise_sd"}
-_SOLVER_KEYS = {"q", "trim_fraction", "tol", "max_iter", "basis_size"}
+_SETTING_KEYS = {f.name for f in fields(SimulationConfig)} - {"seed"}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 _TOP_KEYS = {"seed", "replications", "methods", "settings", "solver",
              "output", "summary"}
 
@@ -364,13 +364,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "replications": int(document["replications"]),
         "methods": methods,
         "settings": [config_label(c) for c in configs],
-        "solver": {
-            "q": opts.q,
-            "trim_fraction": opts.trim_fraction,
-            "tol": opts.tol,
-            "max_iter": opts.max_iter,
-            "basis_size": opts.basis_size,
-        },
+        "solver": asdict(opts),
         "rows": len(rows),
         "failed_cells": failed,
         "results_csv": out_path,

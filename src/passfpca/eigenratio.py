@@ -36,12 +36,10 @@ from .errors import (
     InsufficientSampleError,
     ThresholdError,
 )
-from .estimators import EigenSystem, _check_memory
+from .estimators import EigenSystem, _check_memory, _unit_scale
 from .grid import FunctionalSample
 
 __all__ = [
-    "METHOD_MONTE_CARLO",
-    "METHOD_ELLIPTICAL",
     "PairScores",
     "EigenratioEstimate",
     "ConvergenceDiagnostic",
@@ -53,9 +51,6 @@ __all__ = [
     "cpve",
     "rank_select",
 ]
-
-METHOD_MONTE_CARLO = "monte_carlo"
-METHOD_ELLIPTICAL = "elliptical"
 
 # Numerical cap for 1/x when a fixed-point coordinate approaches zero.
 _BOUND_CAP = 1e12
@@ -82,7 +77,8 @@ class PairScores:
     scores : numpy.ndarray
         ``(P, q)`` matrix with ``P = n(n-1)/2``.
     standardizers : numpy.ndarray
-        The positive constants ``s_l``.
+        The positive constants ``s_l`` on the scale of the input curves
+        (inf where that exceeds the float range).
     trim_fraction : float
         Fraction of pairs trimmed per component, in ``[0, 0.1]``.
     retained : numpy.ndarray
@@ -122,15 +118,12 @@ class EigenratioEstimate:
         True when the last update moved every ratio by at most ``tol``.
     final_delta : float
         Max-norm of the last update step.
-    method : str
-        ``"monte_carlo"`` or ``"elliptical"``.
     """
 
     ratios: np.ndarray
     iterations: int
     converged: bool
     final_delta: float
-    method: str
 
 
 @dataclass
@@ -193,8 +186,8 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     Raises
     ------
     SampleTooLargeError
-        When the ``P x q`` score arrays would exceed physical memory;
-        raised before they are allocated.
+        When the ``P x q`` score array would exceed physical memory;
+        raised before it is allocated.
     """
     if sample.n < 2:
         raise InsufficientSampleError(
@@ -207,10 +200,12 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
             f"trim_fraction must be in [0, 0.1], got {trim_fraction}")
     n = sample.n
     n_pairs = n * (n - 1) // 2
-    # Raw and standardized scores, the mask, and the pair indices.
-    _check_memory(n_pairs * (17 * q + 16),
+    # The scores, the mask, and the pair indices.
+    _check_memory(n_pairs * (9 * q + 16),
                   f"the pair projections of {n} curves")
-    values = sample.values
+    # Projections scale with the curves, so on the scaled copy their
+    # squares cannot overflow; the scores are ratios and do not change.
+    values, exponent = _unit_scale(sample.values)
     basis = eigensystem.eigenfunctions[:, :q]
     spacing = sample.grid.spacing
     # Projections of each curve, combined pairwise by subtraction.
@@ -221,7 +216,6 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     n_trim = math.ceil(trim_fraction * n_pairs) if trim_fraction > 0 else 0
     retained = np.ones((n_pairs, q), dtype=bool)
     standardizers = np.empty(q)
-    scores = np.empty_like(raw)
     for col in range(q):
         if n_trim > 0:
             _trim_largest(np.abs(raw[:, col]), n_trim, retained[:, col])
@@ -235,15 +229,19 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
             raise DegenerateSampleError(
                 f"component {col}: all pair projections are zero")
         standardizers[col] = s
-        scores[:, col] = raw[:, col] / math.sqrt(s)
-    return PairScores(q=q, scores=scores, standardizers=standardizers,
+        raw[:, col] /= math.sqrt(s)
+    # Beyond the float range a standardizer reads inf on the input scale.
+    with np.errstate(over="ignore"):
+        standardizers = np.ldexp(standardizers, 2 * exponent)
+    return PairScores(q=q, scores=raw, standardizers=standardizers,
                       trim_fraction=trim_fraction, retained=retained)
 
 
 def _joint_squared_scores(pairscores: PairScores) -> np.ndarray:
     """Squared scores of the pairs retained in every component, with the
     all-zero rows dropped once so no later step has to mask them."""
-    squared = pairscores.scores[pairscores.joint_mask] ** 2
+    squared = pairscores.scores[pairscores.joint_mask]
+    np.square(squared, out=squared)
     if squared.shape[0] == 0:
         raise DegenerateSampleError(
             "no pair is retained in every component; lower trim_fraction")
@@ -287,8 +285,7 @@ def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,
 
 def _run_fixed_point(f_eval: Callable[[np.ndarray], np.ndarray],
                      kappa_ratios: np.ndarray, start: np.ndarray,
-                     tol: float, max_iter: int,
-                     method: str) -> EigenratioEstimate:
+                     tol: float, max_iter: int) -> EigenratioEstimate:
     """Iterate lambda_k <- (kappa_k / kappa_1) f_1(Lambda)/f_k(Lambda)."""
     current = start.copy()
     current[0] = 1.0
@@ -309,8 +306,7 @@ def _run_fixed_point(f_eval: Callable[[np.ndarray], np.ndarray],
             converged = True
             break
     return EigenratioEstimate(ratios=current, iterations=iterations,
-                              converged=converged, final_delta=delta,
-                              method=method)
+                              converged=converged, final_delta=delta)
 
 
 def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
@@ -362,8 +358,7 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
         denom = squared[:, 0] + squared[:, 1:] @ lam[1:]
         return (squared / denom[:, None]).mean(axis=0)
 
-    return _run_fixed_point(f_eval, kappa_ratios, start, tol, max_iter,
-                            METHOD_MONTE_CARLO)
+    return _run_fixed_point(f_eval, kappa_ratios, start, tol, max_iter)
 
 
 def elliptical_expectation(ratios) -> np.ndarray:
@@ -435,12 +430,12 @@ def eigenratio_elliptical(pass_eigenvalues: np.ndarray,
     Returns
     -------
     EigenratioEstimate
-        Ratios with ``method="elliptical"``.
+        Ratios with the first entry pinned to one.
     """
     kappa_ratios, start = _validate_fixed_point_inputs(
         pass_eigenvalues, init, tol, max_iter)
     return _run_fixed_point(elliptical_expectation, kappa_ratios, start,
-                            tol, max_iter, METHOD_ELLIPTICAL)
+                            tol, max_iter)
 
 
 def convergence_condition(pairscores: PairScores,

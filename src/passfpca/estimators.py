@@ -71,21 +71,17 @@ class CovarianceSurface:
 
     Attributes
     ----------
-    grid : Grid
-        Common sampling grid.
     matrix : numpy.ndarray
         Finite, symmetric ``(N, N)`` matrix of surface values.
     """
 
-    grid: Grid
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        n = self.grid.n_points
-        if mat.shape != (n, n):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(
-                f"surface matrix must have shape ({n}, {n}), got {mat.shape}")
+                f"surface matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise DimensionMismatchError("surface values must be finite")
         asym = np.max(np.abs(mat - mat.T))
@@ -95,6 +91,11 @@ class CovarianceSurface:
                 f"max |M - M^T| = {asym:.3e}")
         self.matrix = mat
 
+    @property
+    def grid(self) -> Grid:
+        """The grid the surface is sampled on, ``make_grid(N)``."""
+        return Grid(self.matrix.shape[0])
+
 
 @dataclass
 class EigenSystem:
@@ -102,35 +103,36 @@ class EigenSystem:
 
     Attributes
     ----------
-    grid : Grid
-        Common sampling grid.
     eigenvalues : numpy.ndarray
         Top ``q`` eigenvalues on the operator scale (matrix eigenvalue
         times the quadrature weight), nonincreasing.
     eigenfunctions : numpy.ndarray
         ``(N, q)`` matrix whose columns have unit quadrature norm; the
         entry of largest magnitude in each column is positive.
-    q : int
-        Number of retained components.
     """
 
-    grid: Grid
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray = field(repr=False)
-    q: int = 0
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         funs = np.asarray(self.eigenfunctions, dtype=float)
-        if vals.shape != (self.q,):
+        if vals.ndim != 1 or funs.ndim != 2 or funs.shape[1] != vals.size:
             raise DimensionMismatchError(
-                f"expected {self.q} eigenvalues, got shape {vals.shape}")
-        if funs.shape != (self.grid.n_points, self.q):
-            raise DimensionMismatchError(
-                f"eigenfunctions must have shape "
-                f"({self.grid.n_points}, {self.q}), got {funs.shape}")
+                f"eigenfunctions must have shape (N, q) for a vector of q "
+                f"eigenvalues, got {funs.shape} and {vals.shape}")
         self.eigenvalues = vals
         self.eigenfunctions = funs
+
+    @property
+    def q(self) -> int:
+        """Number of retained components."""
+        return len(self.eigenvalues)
+
+    @property
+    def grid(self) -> Grid:
+        """The grid of the eigenfunctions, ``make_grid(N)``."""
+        return Grid(self.eigenfunctions.shape[0])
 
 
 def mean_function(sample: FunctionalSample) -> np.ndarray:
@@ -165,7 +167,7 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     acc = np.zeros((sample.grid.n_points, sample.grid.n_points))
     for row in centered:
         acc += row[:, None] * row[None, :]
-    return CovarianceSurface(grid=sample.grid, matrix=acc / (n - 1))
+    return CovarianceSurface(acc / (n - 1))
 
 
 def _physical_memory() -> Optional[int]:
@@ -188,6 +190,17 @@ def _check_memory(n_bytes: int, what: str) -> None:
         raise SampleTooLargeError(
             f"{what} would need about {n_bytes / 2 ** 30:.1f} GiB, more "
             f"than the {available / 2 ** 30:.1f} GiB of physical memory")
+
+
+def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Scale ``values`` by the power of two ``2^-e`` that takes
+    ``max |x|`` into [0.5, 1), where squared pair norms cannot overflow.
+
+    Power-of-two scaling is exact, barring subnormals.  Returns the
+    scaled copy and ``e``.
+    """
+    exponent = int(np.frexp(np.abs(values).max())[1])
+    return np.ldexp(values, -exponent), exponent
 
 
 def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
@@ -244,10 +257,8 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     # The n x n weights plus the condensed squared norms they come from.
     _check_memory(8 * n * n + 4 * n * (n - 1),
                   f"the pair weights of {n} curves")
-    # PASS is scale-invariant and power-of-two scaling is exact, so take
-    # max |x| into [0.5, 1), where squared pair norms cannot overflow.
-    values = sample.values
-    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+    # PASS is scale-invariant, so the exact rescale changes nothing.
+    values, _ = _unit_scale(sample.values)
     spacing = sample.grid.spacing
     n_points = sample.grid.n_points
     condensed = pdist(values, "sqeuclidean")
@@ -300,7 +311,7 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     acc += close_acc
     acc /= retained
     acc = 0.5 * (acc + acc.T)
-    return CovarianceSurface(grid=sample.grid, matrix=acc)
+    return CovarianceSurface(acc)
 
 
 def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
@@ -332,7 +343,7 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
         peak = np.argmax(np.abs(evecs[:, col]))
         if evecs[peak, col] < 0:
             evecs[:, col] = -evecs[:, col]
-    return EigenSystem(grid=grid, eigenvalues=evals, eigenfunctions=evecs, q=q)
+    return EigenSystem(evals, evecs)
 
 
 def spatial_median(sample: FunctionalSample, tol: float = 1e-8,
@@ -422,5 +433,4 @@ def mspc(sample: FunctionalSample, q: int) -> EigenSystem:
     signs = deviations[keep] / np.sqrt(sq[keep])[:, None]
     surface_matrix = (signs.T @ signs) / signs.shape[0]
     surface_matrix = 0.5 * (surface_matrix + surface_matrix.T)
-    return eigendecompose(
-        CovarianceSurface(grid=sample.grid, matrix=surface_matrix), q)
+    return eigendecompose(CovarianceSurface(surface_matrix), q)

@@ -95,11 +95,6 @@ class ReplicationResult:
                     "stored eigenfunction estimates must have unit "
                     "quadrature norm")
 
-    @property
-    def successes(self) -> int:
-        """Number of replicates that produced an estimate."""
-        return self.replications - self.failures
-
 
 @dataclass
 class BenchmarkRow:

@@ -173,18 +173,15 @@ class Pipeline:
     def classical_init(self, scheme: Optional[str]) -> Optional[np.ndarray]:
         """Classical eigenvalue ratios of ``curves(scheme)``, the fixed
         point's starting ratios; None when they are undefined."""
-        curve_scheme = (SCHEME_PRE_SMOOTH if scheme == SCHEME_PRE_SMOOTH
-                        else None)
+        method = ("classical_ratio@" + SCHEME_PRE_SMOOTH
+                  if scheme == SCHEME_PRE_SMOOTH else "classical_ratio")
 
         def build():
             try:
-                vals = self.eigensystem("classical", curve_scheme).eigenvalues
+                return self.evaluate(method).ratios
             except PassFpcaError:
                 return None
-            if np.any(vals <= 0.0):
-                return None
-            return vals / vals[0]
-        return self._get(("init", curve_scheme), build)
+        return self._get(("init", method), build)
 
     def evaluate(self, method: str,
                  ) -> Union[EigenSystem, EigenratioEstimate]:
@@ -205,7 +202,7 @@ class Pipeline:
                     "are undefined")
             return EigenratioEstimate(
                 ratios=vals / vals[0], iterations=0, converged=True,
-                final_delta=0.0, method="classical")
+                final_delta=0.0)
         kappa = self.eigensystem("pass", scheme).eigenvalues
         init = self.classical_init(scheme)
         if base == "pass_mc":

@@ -238,8 +238,7 @@ def inject_outliers(sample: FunctionalSample, truth: GroundTruth,
     mask = np.zeros(n, dtype=bool)
     count = math.ceil(fraction * n) if fraction > 0 else 0
     if count == 0:
-        return FunctionalSample(grid=sample.grid,
-                                values=sample.values.copy()), mask
+        return FunctionalSample(sample.values.copy()), mask
     indices = rng.choice(n, size=count, replace=False)
     mask[indices] = True
     values = sample.values.copy()
@@ -253,7 +252,7 @@ def inject_outliers(sample: FunctionalSample, truth: GroundTruth,
         basis = truth.eigenfunctions.copy()
         basis[:, 0] = sample.grid.points
         values[indices] = truth.mean + modified @ basis.T
-    return FunctionalSample(grid=sample.grid, values=values), mask
+    return FunctionalSample(values), mask
 
 
 def generate(config: SimulationConfig) -> tuple[FunctionalSample, GroundTruth]:
@@ -276,14 +275,13 @@ def generate(config: SimulationConfig) -> tuple[FunctionalSample, GroundTruth]:
         The sample and the generating truth, whose ``outlier_mask`` marks
         the contaminated curves.
     """
-    grid = make_grid(config.n_points)
-    truth = fourier_truth(grid)
+    truth = fourier_truth(make_grid(config.n_points))
     seq = np.random.SeedSequence(int(config.seed))
     scores_seq, outlier_seq, noise_seq = seq.spawn(3)
     scores = draw_scores(config.score_law, config.n,
                          np.random.default_rng(scores_seq))
     values = truth.mean + scores @ truth.eigenfunctions.T
-    sample = FunctionalSample(grid=grid, values=values)
+    sample = FunctionalSample(values)
     if config.outlier_scheme == "none" or config.outlier_fraction == 0.0:
         mask = np.zeros(config.n, dtype=bool)
     else:
@@ -293,6 +291,6 @@ def generate(config: SimulationConfig) -> tuple[FunctionalSample, GroundTruth]:
     if config.noise_sd > 0.0:
         noise = np.random.default_rng(noise_seq).standard_normal(
             sample.values.shape) * config.noise_sd
-        sample = FunctionalSample(grid=grid, values=sample.values + noise)
+        sample = FunctionalSample(sample.values + noise)
     truth = replace(truth, outlier_mask=mask)
     return sample, truth

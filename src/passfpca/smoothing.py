@@ -121,14 +121,13 @@ def presmooth(sample: FunctionalSample, penalty: Optional[float] = None,
             f"curve smoothing needs at least 4 grid points, got {n_points}")
     if penalty == 0.0:
         # Interpolation limit; short-circuit to keep it bit-exact.
-        return FunctionalSample(grid=sample.grid,
-                                values=sample.values.copy())
+        return FunctionalSample(sample.values.copy())
     eigs, vecs = _curve_smoother(n_points)
     rotated = sample.values @ vecs
     if penalty is not None:
         factors = _shrink_factors(penalty, eigs)
         smoothed = (rotated * factors) @ vecs.T
-        return FunctionalSample(grid=sample.grid, values=smoothed)
+        return FunctionalSample(smoothed)
     # GCV: evaluate every candidate penalty for every curve at once.
     shrink = 1.0 / (1.0 + _CURVE_PENALTIES[:, None] * eigs[None, :])
     edf = shrink.sum(axis=1)
@@ -137,7 +136,7 @@ def presmooth(sample: FunctionalSample, penalty: Optional[float] = None,
     gcv = n_points * rss / (n_points - edf) ** 2
     best = np.argmin(gcv, axis=1)
     smoothed = (rotated * shrink[best]) @ vecs.T
-    return FunctionalSample(grid=sample.grid, values=smoothed)
+    return FunctionalSample(smoothed)
 
 
 class _SurfaceSmoother:
@@ -231,11 +230,10 @@ def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
         Smoothed surface on the same grid.
     """
     _check_penalty(penalty)
-    grid = surface.grid
-    if not 4 <= basis_size <= grid.n_points:
+    n_points = surface.grid.n_points
+    if not 4 <= basis_size <= n_points:
         raise BasisSizeError(
             f"basis_size must be between 4 and the grid size "
-            f"{grid.n_points}, got {basis_size}")
-    smoother = _surface_smoother(grid.n_points, basis_size)
-    return CovarianceSurface(grid=grid,
-                             matrix=smoother.fit(surface.matrix, penalty))
+            f"{n_points}, got {basis_size}")
+    smoother = _surface_smoother(n_points, basis_size)
+    return CovarianceSurface(smoother.fit(surface.matrix, penalty))

@@ -222,10 +222,8 @@ def test_criterion_5():
     sample, _ = generate(SimulationConfig(n=40, score_law="frechet",
                                           seed=MASTER_SEED))
     base = pass_covariance(sample).matrix
-    shifted = FunctionalSample(grid=sample.grid,
-                               values=sample.values + 11.5)
-    scaled = FunctionalSample(grid=sample.grid,
-                              values=sample.values * -3.25)
+    shifted = FunctionalSample(sample.values + 11.5)
+    scaled = FunctionalSample(sample.values * -3.25)
     if np.max(np.abs(pass_covariance(shifted).matrix - base)) > 1e-12:
         failures.append("translation invariance")
     if np.max(np.abs(pass_covariance(scaled).matrix - base)) > 1e-12:
@@ -290,7 +288,6 @@ def test_criterion_6():
     # Sample covariance against the brute-force double loop, exactly.
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
-        grid = make_grid(6)
         values = rng.standard_normal((n, 6))
         mean = values.mean(axis=0)
         brute = np.zeros((6, 6))
@@ -300,8 +297,7 @@ def test_criterion_6():
                     brute[j, k] += ((values[i, j] - mean[j])
                                     * (values[i, k] - mean[k]))
         brute /= n - 1
-        ours = sample_covariance(
-            FunctionalSample(grid=grid, values=values)).matrix
+        ours = sample_covariance(FunctionalSample(values)).matrix
         if not np.array_equal(ours, brute):
             failures.append(f"covariance mismatch at n={n}")
     _report(6, not failures,

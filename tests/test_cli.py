@@ -114,8 +114,7 @@ def test_curves_csv_round_trip_is_exact(scratch_csv, data, n, n_points):
                                        max_size=n_points),
                               min_size=n, max_size=n))
     values = np.array(rows, dtype=float)
-    write_curves_csv(scratch_csv, FunctionalSample(grid=make_grid(n_points),
-                                                   values=values))
+    write_curves_csv(scratch_csv, FunctionalSample(values))
     recovered = read_curves_csv(scratch_csv).values
     assert np.array_equal(recovered.view(np.uint64), values.view(np.uint64))
 

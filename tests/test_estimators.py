@@ -36,7 +36,7 @@ from passfpca import estimators
 
 def _sample(values):
     values = np.asarray(values, dtype=float)
-    return FunctionalSample(grid=make_grid(values.shape[1]), values=values)
+    return FunctionalSample(values)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +144,10 @@ def test_pass_covariance_unit_trace_and_translation_scale_invariance():
     trace = surface.grid.spacing * np.trace(surface.matrix)
     assert trace == pytest.approx(1.0, abs=1e-10)
     shift = rng.standard_normal(sample.grid.n_points)
-    shifted = FunctionalSample(grid=sample.grid,
-                               values=sample.values + shift)
+    shifted = FunctionalSample(sample.values + shift)
     np.testing.assert_allclose(pass_covariance(shifted).matrix,
                                surface.matrix, atol=1e-12)
-    scaled = FunctionalSample(grid=sample.grid, values=sample.values * -3.7)
+    scaled = FunctionalSample(sample.values * -3.7)
     np.testing.assert_allclose(pass_covariance(scaled).matrix,
                                surface.matrix, atol=1e-12)
 
@@ -314,7 +313,7 @@ def test_eigendecompose_synthesized_surface():
     truth = fourier_truth(grid)
     matrix = (truth.eigenfunctions * truth.eigenvalues) \
         @ truth.eigenfunctions.T
-    surface = CovarianceSurface(grid=grid, matrix=matrix)
+    surface = CovarianceSurface(matrix)
     system = eigendecompose(surface, 4)
     np.testing.assert_allclose(system.eigenvalues, truth.eigenvalues,
                                atol=1e-2)
@@ -327,8 +326,7 @@ def test_eigendecompose_synthesized_surface():
 
 
 def test_eigendecompose_zero_surface():
-    grid = make_grid(8)
-    surface = CovarianceSurface(grid=grid, matrix=np.zeros((8, 8)))
+    surface = CovarianceSurface(np.zeros((8, 8)))
     system = eigendecompose(surface, 3)
     np.testing.assert_allclose(system.eigenvalues, 0.0, atol=0.0)
 
@@ -359,15 +357,13 @@ def test_eigendecompose_output_conventions():
 
 
 def test_eigendecompose_rejects_bad_inputs():
-    grid = make_grid(6)
     asym = np.eye(6)
     asym[0, 5] = 1.0
     with pytest.raises(AsymmetrySurfaceError):
-        CovarianceSurface(grid=grid, matrix=asym)
+        CovarianceSurface(asym)
     with pytest.raises(DimensionMismatchError):
-        CovarianceSurface(grid=grid,
-                          matrix=np.where(np.eye(6) > 0, np.nan, 0.0))
-    surface = CovarianceSurface(grid=grid, matrix=np.eye(6))
+        CovarianceSurface(np.where(np.eye(6) > 0, np.nan, 0.0))
+    surface = CovarianceSurface(np.eye(6))
     with pytest.raises(DimensionMismatchError):
         eigendecompose(surface, 0)
     with pytest.raises(DimensionMismatchError):

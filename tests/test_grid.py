@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from passfpca import (
+    CovarianceSurface,
     DimensionMismatchError,
+    EigenSystem,
     FunctionalSample,
-    Grid,
     InvalidGridError,
     inner_product,
     l2_norm,
@@ -39,28 +40,21 @@ def test_make_grid_rejects_degenerate():
         make_grid(0)
 
 
-def test_grid_validates_fields():
-    with pytest.raises(InvalidGridError):
-        Grid(n_points=3, points=np.array([0.9, 0.6, 0.3]), spacing=1 / 3)
-    with pytest.raises(InvalidGridError):
-        Grid(n_points=3, points=np.array([0.1, 0.2, 1.0]), spacing=1 / 3)
-    with pytest.raises(InvalidGridError):
-        # spacing inconsistent with the unit interval
-        Grid(n_points=4, points=np.array([0.5, 1.0, 1.5, 2.0]), spacing=0.5)
-
-
-def test_grid_rejects_points_off_the_unit_interval():
-    # Equal steps of 1/N that do not end at 1 used to be accepted, and
-    # smooth_surface then failed inside scipy with "Out of bounds".
-    with pytest.raises(InvalidGridError):
-        Grid(n_points=5, points=np.array([0.5, 0.7, 0.9, 1.1, 1.3]),
-             spacing=0.2)
-    with pytest.raises(InvalidGridError):
-        Grid(n_points=4, points=np.array([0.0, 0.25, 0.5, 0.75]),
-             spacing=0.25)
-    grid = Grid(n_points=4, points=np.array([0.25, 0.5, 0.75, 1.0]),
-                spacing=0.25)
-    np.testing.assert_array_equal(grid.points, make_grid(4).points)
+def test_grid_is_derived_from_the_array():
+    for n_points in (2, 3, 101, 401):
+        grid = make_grid(n_points)
+        assert np.array_equal(grid.points,
+                              np.arange(1, n_points + 1) / n_points)
+        assert grid.spacing == 1 / n_points
+    values = np.ones((3, 7))
+    assert FunctionalSample(values).grid == make_grid(7)
+    assert CovarianceSurface(np.eye(7)).grid == make_grid(7)
+    system = EigenSystem(np.ones(2), values.T[:, :2])
+    assert system.grid == make_grid(7) and system.q == 2
+    with pytest.raises(DimensionMismatchError):
+        EigenSystem(np.ones(3), values.T[:, :2])
+    with pytest.raises(DimensionMismatchError):
+        FunctionalSample(np.zeros((3, 1)))
 
 
 def test_inner_product_constant_is_one():
@@ -125,14 +119,11 @@ def test_inner_product_length_mismatch():
 
 
 def test_functional_sample_validation():
-    grid = make_grid(5)
-    sample = FunctionalSample(grid=grid, values=np.zeros((3, 5)))
+    sample = FunctionalSample(np.zeros((3, 5)))
     assert sample.n == 3
     with pytest.raises(DimensionMismatchError):
-        FunctionalSample(grid=grid, values=np.zeros((3, 4)))
-    with pytest.raises(DimensionMismatchError):
-        FunctionalSample(grid=grid, values=np.zeros((0, 5)))
+        FunctionalSample(np.zeros((0, 5)))
     bad = np.zeros((2, 5))
     bad[1, 2] = np.nan
     with pytest.raises(DimensionMismatchError):
-        FunctionalSample(grid=grid, values=bad)
+        FunctionalSample(bad)

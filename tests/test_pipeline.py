@@ -16,7 +16,6 @@ from passfpca import (
     SimulationConfig,
     SolverOptions,
     generate,
-    make_grid,
 )
 from passfpca.cli import EXIT_OK, main, write_curves_csv
 
@@ -25,7 +24,7 @@ from passfpca.cli import EXIT_OK, main, write_curves_csv
 
 
 def _pass_surface(values):
-    sample = FunctionalSample(grid=make_grid(values.shape[1]), values=values)
+    sample = FunctionalSample(values)
     return Pipeline(sample).surface("pass", None).matrix
 
 

@@ -150,7 +150,7 @@ def _clean_sample(n, seed=0):
     rng = np.random.default_rng(seed)
     scores = draw_scores("gaussian", n, rng)
     values = truth.mean + scores @ truth.eigenfunctions.T
-    return FunctionalSample(grid=grid, values=values), truth, scores
+    return FunctionalSample(values), truth, scores
 
 
 def test_inject_outliers_count_is_ceiling():

@@ -47,7 +47,7 @@ def test_presmooth_infinite_penalty_gives_least_squares_line():
     grid = make_grid(30)
     rng = np.random.default_rng(7)
     values = rng.standard_normal((4, 30))
-    sample = FunctionalSample(grid=grid, values=values)
+    sample = FunctionalSample(values)
     out = presmooth(sample, penalty=np.inf)
     for raw, fitted in zip(values, out.values):
         slope, intercept = np.polyfit(grid.points, raw, 1)
@@ -58,7 +58,7 @@ def test_presmooth_infinite_penalty_gives_least_squares_line():
 def test_presmooth_gcv_keeps_noise_free_signals():
     grid = make_grid(101)
     truth = fourier_truth(grid)
-    sample = FunctionalSample(grid=grid, values=truth.eigenfunctions.T.copy())
+    sample = FunctionalSample(truth.eigenfunctions.T.copy())
     out = presmooth(sample)
     assert np.max(np.abs(out.values - sample.values)) < 0.05
 
@@ -77,7 +77,7 @@ def test_presmooth_validation():
     for penalty in (-1.0, np.nan):
         with pytest.raises(DimensionMismatchError):
             presmooth(sample, penalty=penalty)
-    short = FunctionalSample(grid=make_grid(3), values=np.ones((2, 3)))
+    short = FunctionalSample(np.ones((2, 3)))
     with pytest.raises(InsufficientSampleError):
         presmooth(short)
 
@@ -106,7 +106,7 @@ def test_smooth_surface_noise_free_fidelity():
     truth = fourier_truth(grid)
     matrix = (truth.eigenfunctions * truth.eigenvalues
               ) @ truth.eigenfunctions.T
-    surface = CovarianceSurface(grid=grid, matrix=matrix)
+    surface = CovarianceSurface(matrix)
     smoothed = smooth_surface(surface)
     phi1 = truth.eigenfunctions[:, 0]
     direct = _first_eigenfunction_mse(surface, phi1)
@@ -129,8 +129,7 @@ def test_smooth_surface_noisy_gaussian_accuracy():
 
 
 def test_smooth_surface_reproduces_constants():
-    grid = make_grid(40)
-    surface = CovarianceSurface(grid=grid, matrix=np.full((40, 40), 0.7))
+    surface = CovarianceSurface(np.full((40, 40), 0.7))
     smoothed = smooth_surface(surface)
     np.testing.assert_allclose(smoothed.matrix, 0.7, atol=1e-6)
 
@@ -140,8 +139,7 @@ def test_smooth_surface_ignores_diagonal():
     # however large, leaves the result unchanged bit for bit.
     surface = pass_covariance(_noisy_sample(n=40, noise_sd=1.0, seed=29))
     inflated = CovarianceSurface(
-        grid=surface.grid,
-        matrix=surface.matrix + 1e3 * np.eye(surface.grid.n_points))
+        surface.matrix + 1e3 * np.eye(surface.grid.n_points))
     for penalty in (None, 1e-4):
         assert np.array_equal(
             smooth_surface(surface, penalty=penalty).matrix,
