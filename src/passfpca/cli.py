@@ -13,6 +13,7 @@ configuration error, 5 estimation error, 6 benchmark cell failure under
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -204,7 +205,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     system = pipeline.evaluate(method)
     ratios = solver_doc = None
     if args.method == "classical":
-        ratios = system.eigenvalues / system.eigenvalues[0]
+        # Ratios are undefined unless every eigenvalue is positive.
+        with contextlib.suppress(PassFpcaError):
+            ratios = pipeline.evaluate(_method_id("classical_ratio",
+                                                  args.smoothing)).ratios
     elif args.method == "pass":
         solver_doc = {"method": "mc", "trim_fraction": args.trim}
         # The ratio refinement is optional: a sample too small or too

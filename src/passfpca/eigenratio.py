@@ -61,46 +61,54 @@ _LOG_STEP = 0.25
 
 @dataclass
 class PairScores:
-    """Standardized projections of curve differences onto eigenfunctions.
+    """Squared standardized projections of curve differences.
 
     For every unordered curve pair ``(i, j)`` with ``i < j`` and every
-    component ``l``, ``scores[p, l]`` holds
+    component ``l``, the standardized score is
     ``s_l^{-1/2} <x_i - x_j, phi_l>`` under the grid quadrature.  The
     standardizer ``s_l`` is the mean squared projection over the pairs
     retained after trimming, so retained squared scores average to one in
-    each column.
+    each column.  Only the pairs retained in every component are kept,
+    and the constructor drops their all-zero rows, which weigh nothing in
+    any expectation; it raises :class:`DegenerateSampleError` when no row
+    is left.
 
     Attributes
     ----------
-    q : int
-        Number of components.
-    scores : numpy.ndarray
-        ``(P, q)`` matrix with ``P = n(n-1)/2``.
+    squared : numpy.ndarray
+        ``(M, q)`` squared scores of the jointly retained pairs.
     standardizers : numpy.ndarray
         The positive constants ``s_l`` on the scale of the input curves
         (inf where that exceeds the float range).
-    trim_fraction : float
-        Fraction of pairs trimmed per component, in ``[0, 0.1]``.
-    retained : numpy.ndarray
-        ``(P, q)`` boolean matrix; False marks a projection trimmed for
-        its component.
+    joint_mask : numpy.ndarray
+        ``(P,)`` boolean over the ``P = n(n-1)/2`` pairs; True marks a
+        pair retained in every component.
     """
 
-    q: int
-    scores: np.ndarray = field(repr=False)
+    squared: np.ndarray = field(repr=False)
     standardizers: np.ndarray = field(repr=False)
-    trim_fraction: float = 0.0
-    retained: np.ndarray = field(default=None, repr=False)
+    joint_mask: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.squared.shape[0] == 0:
+            raise DegenerateSampleError(
+                "no pair is retained in every component; lower trim_fraction")
+        nonzero = self.squared.any(axis=1)
+        if not nonzero.all():  # copy only when a row must go
+            self.squared = self.squared[nonzero]
+        if self.squared.shape[0] == 0:
+            raise DegenerateSampleError(
+                "all retained pairs have zero projection norm")
+
+    @property
+    def q(self) -> int:
+        """Number of components."""
+        return self.squared.shape[1]
 
     @property
     def n_pairs(self) -> int:
         """Total number of curve pairs."""
-        return self.scores.shape[0]
-
-    @property
-    def joint_mask(self) -> np.ndarray:
-        """Pairs retained in every component simultaneously."""
-        return self.retained.all(axis=1)
+        return self.joint_mask.size
 
 
 @dataclass
@@ -181,17 +189,14 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     Returns
     -------
     PairScores
-        Standardized projections with their retention mask.
+        Squared scores of the jointly retained pairs, with their mask.
 
     Raises
     ------
     SampleTooLargeError
-        When the ``P x q`` score array would exceed physical memory;
-        raised before it is allocated.
+        When the pair projections or the solver over them would exceed
+        physical memory; raised before they are allocated.
     """
-    if sample.n < 2:
-        raise InsufficientSampleError(
-            f"pair projections need at least 2 curves, got {sample.n}")
     if not 1 <= q <= eigensystem.q:
         raise DimensionMismatchError(
             f"q must be between 1 and {eigensystem.q}, got {q}")
@@ -200,56 +205,45 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
             f"trim_fraction must be in [0, 0.1], got {trim_fraction}")
     n = sample.n
     n_pairs = n * (n - 1) // 2
-    # The scores, the mask, and the pair indices.
-    _check_memory(n_pairs * (9 * q + 16),
+    n_trim = math.ceil(trim_fraction * n_pairs)
+    if n_trim >= n_pairs:
+        raise InsufficientSampleError(
+            f"no curve pair is left after trimming: {n} curves, "
+            f"trim_fraction {trim_fraction}")
+    # Building holds two int64 pair indices and two gathered P x q arrays,
+    # 16q + 16 bytes a pair; the solver stage at most 16q + 17.
+    _check_memory(n_pairs * (16 * q + 17),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
     # squares cannot overflow; the scores are ratios and do not change.
     values, exponent = _unit_scale(sample.values)
-    basis = eigensystem.eigenfunctions[:, :q]
-    spacing = sample.grid.spacing
     # Projections of each curve, combined pairwise by subtraction.
-    curve_proj = spacing * (values @ basis)
+    curve_proj = sample.grid.spacing * (
+        values @ eigensystem.eigenfunctions[:, :q])
+    del values
     i_idx, j_idx = np.triu_indices(n, k=1)
     raw = curve_proj[i_idx] - curve_proj[j_idx]
     del i_idx, j_idx
-    n_trim = math.ceil(trim_fraction * n_pairs) if trim_fraction > 0 else 0
-    retained = np.ones((n_pairs, q), dtype=bool)
+    joint_mask = np.ones(n_pairs, dtype=bool)
     standardizers = np.empty(q)
     for col in range(q):
+        column = raw[:, col]
+        retained = np.ones(n_pairs, dtype=bool)
         if n_trim > 0:
-            _trim_largest(np.abs(raw[:, col]), n_trim, retained[:, col])
-        kept = raw[retained[:, col], col]
-        if kept.size == 0:
-            raise DegenerateSampleError(
-                f"component {col}: trimming removed every pair; lower "
-                f"trim_fraction or provide more curves")
-        s = float(np.mean(kept ** 2))
+            _trim_largest(np.abs(column), n_trim, retained)
+        joint_mask &= retained
+        s = float(np.mean(column[retained] ** 2))
         if s <= 0.0:
             raise DegenerateSampleError(
                 f"component {col}: all pair projections are zero")
         standardizers[col] = s
-        raw[:, col] /= math.sqrt(s)
+        column /= math.sqrt(s)
+    squared = raw[joint_mask]
+    np.square(squared, out=squared)
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)
-    return PairScores(q=q, scores=raw, standardizers=standardizers,
-                      trim_fraction=trim_fraction, retained=retained)
-
-
-def _joint_squared_scores(pairscores: PairScores) -> np.ndarray:
-    """Squared scores of the pairs retained in every component, with the
-    all-zero rows dropped once so no later step has to mask them."""
-    squared = pairscores.scores[pairscores.joint_mask]
-    np.square(squared, out=squared)
-    if squared.shape[0] == 0:
-        raise DegenerateSampleError(
-            "no pair is retained in every component; lower trim_fraction")
-    squared = squared[squared.any(axis=1)]
-    if squared.shape[0] == 0:
-        raise DegenerateSampleError(
-            "all retained pairs have zero projection norm")
-    return squared
+    return PairScores(squared, standardizers, joint_mask)
 
 
 def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,
@@ -325,8 +319,8 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
     Parameters
     ----------
     pairscores : PairScores
-        Standardized pair projections; averages run over the pairs
-        retained in every component.
+        Squared standardized projections of the pairs retained in every
+        component, over which the expectations average.
     pass_eigenvalues : numpy.ndarray
         Leading eigenvalues of the pairwise surface, positive and
         nonincreasing; only their ratios enter the update.
@@ -351,7 +345,7 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
         raise DimensionMismatchError(
             f"pairscores have {pairscores.q} components but "
             f"{q} eigenvalues were supplied")
-    squared = _joint_squared_scores(pairscores)
+    squared = pairscores.squared
 
     def f_eval(lam: np.ndarray) -> np.ndarray:
         # Iterates stay positive, so every row's denominator does too.
@@ -450,7 +444,7 @@ def convergence_condition(pairscores: PairScores,
     Parameters
     ----------
     pairscores : PairScores
-        Standardized pair projections with ``q`` components.
+        Squared standardized projections with ``q`` components.
     x_star : sequence of float
         Candidate ratios for components ``2..q`` (length ``q - 1``),
         nonnegative; zero entries produce the capped bound.
@@ -468,7 +462,7 @@ def convergence_condition(pairscores: PairScores,
             f"x_star must have length {q - 1}, got shape {x.shape}")
     if np.any(x < 0.0):
         raise DimensionMismatchError("x_star entries must be nonnegative")
-    squared = _joint_squared_scores(pairscores)
+    squared = pairscores.squared
     denom = squared[:, 0] + squared[:, 1:] @ x
     # Zero entries of x_star can zero a nonzero row's denominator.
     good = denom > 0.0
@@ -479,7 +473,7 @@ def convergence_condition(pairscores: PairScores,
     first_order = ratio1.mean(axis=0)           # E[V_m^2 / den]
     # cross[m, l] = E[V_m^2 V_l^2 / den^2], indexed from the leading
     # component at m = 0.
-    cross = (ratio1[:, :, None] * ratio1[:, None, :]).mean(axis=0)
+    cross = ratio1.T @ ratio1 / ratio1.shape[0]
     lhs = np.abs(cross[1:, 1:] / first_order[1:, None]
                  - cross[0, 1:] / first_order[0]).sum(axis=1)
     bound = np.minimum(1.0 / np.maximum(x, 1.0 / _BOUND_CAP), _BOUND_CAP)

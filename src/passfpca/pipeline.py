@@ -165,7 +165,7 @@ class Pipeline:
         return self._get(("eigen", family, scheme), build)
 
     def pairscores(self, scheme: Optional[str]) -> PairScores:
-        """Trimmed pair projections onto the PASS eigenfunctions."""
+        """Squared trimmed pair projections onto the PASS eigenfunctions."""
         return self._get(("pairscores", scheme), lambda: pair_scores(
             self.curves(scheme), self.eigensystem("pass", scheme),
             self.opts.q, self.opts.trim_fraction))

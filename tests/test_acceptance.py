@@ -277,9 +277,8 @@ def test_criterion_6():
     kappa = truth * evaluations / evaluations[0]
     raw = np.random.default_rng(MASTER_SEED).standard_normal((100_000, 4))
     raw /= np.sqrt(np.mean(raw ** 2, axis=0))
-    scores = PairScores(q=4, scores=raw, standardizers=np.ones(4),
-                        trim_fraction=0.0,
-                        retained=np.ones((100_000, 4), dtype=bool))
+    scores = PairScores(np.square(raw), np.ones(4),
+                        np.ones(100_000, dtype=bool))
     mc_est = eigenratio_mc(scores, kappa)
     ell_est = eigenratio_elliptical(kappa)
     gap = float(np.max(np.abs(mc_est.ratios - ell_est.ratios)))

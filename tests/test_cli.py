@@ -173,6 +173,19 @@ def test_fit_classical_reports_eigenvalue_ratios(tmp_path):
     assert doc["ratios"][1] == pytest.approx(values[1] / values[0])
 
 
+def test_fit_classical_writes_null_for_undefined_ratios(tmp_path):
+    # Identical curves have a zero covariance, so no ratio is defined.
+    curves = tmp_path / "flat.csv"
+    write_curves_csv(str(curves), FunctionalSample(
+        np.tile(np.arange(8.0), (3, 1))))
+    result = tmp_path / "fit.json"
+    assert _run("fit", "--input", str(curves), "--method", "classical",
+                "--eigenfunctions", str(tmp_path / "ef.csv"),
+                "--result", str(result)) == EXIT_OK
+    doc = json.loads(result.read_text())
+    assert doc["ratios"] is None
+
+
 def test_fit_mspc_rejects_surface_smoothing(tmp_path):
     curves = _simulate(tmp_path)
     code = _run("fit", "--input", str(curves), "--method", "mspc",

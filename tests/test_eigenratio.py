@@ -33,7 +33,7 @@ from passfpca import (
     rank_select,
     sample_covariance,
 )
-from passfpca import estimators
+from passfpca import eigenratio, estimators
 
 
 def _gaussian_fit(n, seed, trim=0.0):
@@ -47,9 +47,44 @@ def _synthetic_pairscores(rng, n_pairs, q):
     """Standardized i.i.d. Gaussian projections with no trimming."""
     raw = rng.standard_normal((n_pairs, q))
     raw = raw / np.sqrt(np.mean(raw ** 2, axis=0))
-    return PairScores(q=q, scores=raw, standardizers=np.ones(q),
-                      trim_fraction=0.0,
-                      retained=np.ones((n_pairs, q), dtype=bool))
+    return PairScores(np.square(raw), np.ones(q),
+                      np.ones(n_pairs, dtype=bool))
+
+
+def _stable_sort_reference(sample, basis, trim_fraction):
+    """Pair scores written out literally: per component, a stable
+    ascending argsort of the magnitudes trims the last
+    ``ceil(trim_fraction * P)``, so ties go at the highest index.
+
+    Returns the ``(P, q)`` raw pair projections and their per-component
+    retention, the standardizers, and the squared scores of the jointly
+    retained pairs without their all-zero rows.
+    """
+    proj = sample.grid.spacing * (sample.values @ basis)
+    i_idx, j_idx = np.triu_indices(sample.n, k=1)
+    raw = proj[i_idx] - proj[j_idx]
+    n_pairs, q = raw.shape
+    n_trim = math.ceil(trim_fraction * n_pairs)
+    retained = np.ones((n_pairs, q), dtype=bool)
+    for col in range(q):
+        order = np.argsort(np.abs(raw[:, col]), kind="stable")
+        retained[order[n_pairs - n_trim:], col] = False
+    standardizers = np.array([np.mean(raw[retained[:, col], col] ** 2)
+                              for col in range(q)])
+    squared = raw[retained.all(axis=1)] ** 2 / standardizers
+    return raw, retained, standardizers, squared[squared.any(axis=1)]
+
+
+def _assert_matches_reference(scores, sample, basis, trim_fraction):
+    """Check ``scores`` against :func:`_stable_sort_reference`: the joint
+    mask exactly, the standardizers and squared scores to rounding."""
+    raw, retained, standardizers, squared = _stable_sort_reference(
+        sample, basis, trim_fraction)
+    np.testing.assert_array_equal(scores.joint_mask, retained.all(axis=1))
+    np.testing.assert_allclose(scores.standardizers, standardizers,
+                               rtol=1e-12)
+    np.testing.assert_allclose(scores.squared, squared, rtol=1e-12)
+    return raw, retained
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +97,7 @@ def test_pair_scores_single_pair():
     system = eigendecompose(pass_covariance(sample), 2)
     scores = pair_scores(sample, system, 2, trim_fraction=0.0)
     assert scores.n_pairs == 1
-    squared = scores.scores[0] ** 2
+    squared = scores.squared[0]
     for col in range(2):
         if scores.standardizers[col] > 0:
             assert squared[col] == pytest.approx(1.0, rel=1e-10)
@@ -70,9 +105,10 @@ def test_pair_scores_single_pair():
 
 def test_pair_scores_column_means_without_trimming():
     _, _, scores = _gaussian_fit(n=200, seed=42, trim=0.0)
-    means = np.mean(scores.scores ** 2, axis=0)
+    assert scores.joint_mask.all()
+    assert scores.squared.shape == (scores.n_pairs, 4)
+    means = np.mean(scores.squared, axis=0)
     np.testing.assert_allclose(means, 1.0, atol=1e-10)
-    assert scores.retained.all()
 
 
 def test_pair_scores_trim_counts():
@@ -80,21 +116,21 @@ def test_pair_scores_trim_counts():
     n_pairs = 40 * 39 // 2
     for fraction in (0.01, 0.05, 0.1):
         scores = pair_scores(sample, system, 4, trim_fraction=fraction)
+        _, retained = _assert_matches_reference(
+            scores, sample, system.eigenfunctions, fraction)
         expected = math.ceil(fraction * n_pairs)
-        removed = (~scores.retained).sum(axis=0)
-        np.testing.assert_array_equal(removed, expected)
-        # Retained squared scores still average to one by construction.
-        for col in range(4):
-            kept = scores.scores[scores.retained[:, col], col]
-            assert np.mean(kept ** 2) == pytest.approx(1.0, rel=1e-8)
+        np.testing.assert_array_equal((~retained).sum(axis=0), expected)
 
 
 def test_pair_scores_trimmed_are_the_largest():
     sample, system, _ = _gaussian_fit(n=30, seed=4)
     scores = pair_scores(sample, system, 4, trim_fraction=0.05)
+    raw, retained = _assert_matches_reference(
+        scores, sample, system.eigenfunctions, 0.05)
+    magnitudes = np.abs(raw)
     for col in range(4):
-        kept = np.abs(scores.scores[scores.retained[:, col], col])
-        cut = np.abs(scores.scores[~scores.retained[:, col], col])
+        kept = magnitudes[retained[:, col], col]
+        cut = magnitudes[~retained[:, col], col]
         assert kept.max() <= cut.min() + 1e-12
 
 
@@ -108,7 +144,6 @@ def test_pair_scores_trim_matches_stable_sort_on_ties(
     # projection exact, so many pairs tie at the trimming threshold.
     rng = np.random.default_rng(seed)
     n_points = 2 ** log_points
-    grid = make_grid(n_points)
     values = rng.integers(-2, 3, size=(n, n_points)).astype(float)
     basis = rng.integers(-1, 2, size=(n_points, q)).astype(float)
     basis[0] = 1.0
@@ -118,16 +153,7 @@ def test_pair_scores_trim_matches_stable_sort_on_ties(
         scores = pair_scores(sample, system, q, trim_fraction)
     except DegenerateSampleError:
         return
-    proj = grid.spacing * (values @ basis)
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    raw = proj[i_idx] - proj[j_idx]
-    n_pairs = raw.shape[0]
-    n_trim = math.ceil(trim_fraction * n_pairs)
-    expected = np.ones((n_pairs, q), dtype=bool)
-    for col in range(q):
-        order = np.argsort(np.abs(raw[:, col]), kind="stable")
-        expected[order[n_pairs - n_trim:], col] = False
-    np.testing.assert_array_equal(scores.retained, expected)
+    _assert_matches_reference(scores, sample, basis, trim_fraction)
 
 
 def test_pair_scores_fails_fast_on_huge_samples(monkeypatch):
@@ -142,6 +168,26 @@ def test_pair_scores_fails_fast_on_huge_samples(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("q, trim", [(1, 0.0), (1, 0.02), (4, 0.0),
+                                     (4, 0.02)])
+def test_pair_scores_memory_estimate_covers_the_traced_peak(
+        monkeypatch, q, trim):
+    sample, _ = generate(SimulationConfig(n=600, seed=12))
+    system = eigendecompose(pass_covariance(sample), 4)
+    estimates = []
+    monkeypatch.setattr(eigenratio, "_check_memory",
+                        lambda n_bytes, what: estimates.append(n_bytes))
+    tracemalloc.start()
+    try:
+        scores = pair_scores(sample, system, q, trim)
+        eigenratio_mc(scores, system.eigenvalues[:q])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [estimate] = estimates
+    assert peak <= estimate <= 1.25 * peak
 
 
 def test_pair_scores_validation():
@@ -179,8 +225,9 @@ def test_pair_scores_and_mc_ratios_are_scale_free_at_1e160():
     system = eigendecompose(pass_covariance(sample), 4)
     base = pair_scores(sample, system, 4)
     big = pair_scores(FunctionalSample(sample.values * 1e160), system, 4)
-    np.testing.assert_array_equal(big.retained, base.retained)
-    np.testing.assert_allclose(big.scores, base.scores, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(big.joint_mask, base.joint_mask)
+    np.testing.assert_allclose(big.squared, base.squared, rtol=0,
+                               atol=1e-12)
     np.testing.assert_allclose(
         eigenratio_mc(big, system.eigenvalues).ratios,
         eigenratio_mc(base, system.eigenvalues).ratios, rtol=0, atol=1e-12)
@@ -194,9 +241,8 @@ def test_eigenratio_mc_symmetric_fixed_point():
     rng = np.random.default_rng(0)
     column = rng.standard_normal(5000)
     column = column / np.sqrt(np.mean(column ** 2))
-    scores = PairScores(q=3, scores=np.column_stack([column] * 3),
-                        standardizers=np.ones(3), trim_fraction=0.0,
-                        retained=np.ones((5000, 3), dtype=bool))
+    scores = PairScores(np.square(np.column_stack([column] * 3)),
+                        np.ones(3), np.ones(5000, dtype=bool))
     estimate = eigenratio_mc(scores, np.array([0.4, 0.4, 0.4]))
     np.testing.assert_allclose(estimate.ratios, 1.0, atol=0.0)
     assert estimate.converged
@@ -281,12 +327,14 @@ def test_eigenratio_mc_nonconvergence_is_flagged():
 
 def test_eigenratio_mc_ignores_all_zero_rows():
     _, system, scores = _gaussian_fit(n=100, seed=21, trim=0.02)
-    # Five jointly retained all-zero rows, at the ends and inside.
-    positions = [0, 1, 1, 500, scores.n_pairs]
+    # Five jointly retained all-zero rows, at the ends and inside; the
+    # constructor drops them.
+    rows = scores.squared.shape[0]
     padded = PairScores(
-        q=4, scores=np.insert(scores.scores, positions, 0.0, axis=0),
-        standardizers=scores.standardizers, trim_fraction=0.02,
-        retained=np.insert(scores.retained, positions, True, axis=0))
+        np.insert(scores.squared, [0, 1, 1, 500, rows], 0.0, axis=0),
+        scores.standardizers,
+        np.insert(scores.joint_mask, [0, 1, 1, 500, scores.n_pairs], True))
+    assert np.array_equal(padded.squared, scores.squared)
     base = eigenratio_mc(scores, system.eigenvalues)
     again = eigenratio_mc(padded, system.eigenvalues)
     assert np.array_equal(again.ratios, base.ratios)
@@ -297,35 +345,19 @@ def test_eigenratio_mc_ignores_all_zero_rows():
 
 
 def test_eigenratio_mc_no_joint_pair():
-    # Each pair is trimmed in some component, so none is kept in all.
-    rng = np.random.default_rng(3)
-    retained = np.ones((6, 3), dtype=bool)
-    retained[[0, 1], 0] = False
-    retained[[2, 3], 1] = False
-    retained[[4, 5], 2] = False
-    scores = PairScores(q=3, scores=rng.standard_normal((6, 3)),
-                        standardizers=np.ones(3), trim_fraction=0.1,
-                        retained=retained)
+    # Each pair is trimmed in some component, so none is kept in all;
+    # the solvers never see such scores because they cannot be built.
     with pytest.raises(DegenerateSampleError, match="no pair is retained"):
-        eigenratio_mc(scores, np.array([1.0, 0.5, 0.25]))
-    with pytest.raises(DegenerateSampleError, match="no pair is retained"):
-        convergence_condition(scores, [0.5, 0.25])
+        PairScores(np.empty((0, 3)), np.ones(3), np.zeros(6, dtype=bool))
 
 
 def test_eigenratio_mc_all_joint_rows_zero():
     # The jointly retained pairs project to zero; only pairs trimmed in
-    # some component carry signal.
-    rng = np.random.default_rng(4)
-    values = np.zeros((6, 2))
-    values[:3] = rng.standard_normal((3, 2))
-    retained = np.ones((6, 2), dtype=bool)
-    retained[:3, 0] = False
-    scores = PairScores(q=2, scores=values, standardizers=np.ones(2),
-                        trim_fraction=0.1, retained=retained)
+    # some component carry signal.  Such scores cannot be built.
+    joint_mask = np.zeros(6, dtype=bool)
+    joint_mask[3:] = True
     with pytest.raises(DegenerateSampleError, match="zero projection norm"):
-        eigenratio_mc(scores, np.array([1.0, 0.5]))
-    with pytest.raises(DegenerateSampleError, match="zero projection norm"):
-        convergence_condition(scores, [0.5])
+        PairScores(np.zeros((3, 2)), np.ones(2), joint_mask)
 
 
 def test_eigenratio_mc_validation():

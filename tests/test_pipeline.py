@@ -3,6 +3,7 @@ properties, and exact agreement between the command line and the
 harness, which both run their stages through it."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from passfpca import (
     Pipeline,
     SimulationConfig,
     SolverOptions,
+    convergence_condition,
     generate,
 )
 from passfpca.cli import EXIT_OK, main, write_curves_csv
@@ -116,3 +118,30 @@ def test_smooth_cf_starts_from_raw_curve_ratios(noisy):
     raw = pipeline.eigensystem("classical", None).eigenvalues
     np.testing.assert_array_equal(pipeline.classical_init(None),
                                   raw / raw[0])
+
+
+def test_pairscores_expose_what_the_benchmark_tracer_reads():
+    # perfbench's tracer reads these names and turns an error in reading
+    # them into a silent zero, so they are pinned here.
+    n = 60
+    sample, _ = generate(SimulationConfig(n=n, seed=4))
+    pipeline = Pipeline(sample)
+    scores = pipeline.pairscores(None)
+    n_pairs = n * (n - 1) // 2
+    assert scores.n_pairs == n_pairs
+    assert scores.q == 4
+    # Jointly retained: not among any component's ceil(0.02 P) largest
+    # magnitudes, ties trimmed at the highest index.
+    basis = pipeline.eigensystem("pass", None).eigenfunctions
+    proj = sample.grid.spacing * (sample.values @ basis)
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    magnitudes = np.abs(proj[i_idx] - proj[j_idx])
+    n_trim = math.ceil(0.02 * n_pairs)
+    trimmed = np.zeros(n_pairs, dtype=bool)
+    for col in range(4):
+        order = np.argsort(magnitudes[:, col], kind="stable")
+        trimmed[order[n_pairs - n_trim:]] = True
+    assert int(scores.joint_mask.sum()) == n_pairs - int(trimmed.sum())
+    estimate = pipeline.evaluate("pass_mc")
+    diagnostic = convergence_condition(scores, estimate.ratios[1:])
+    assert diagnostic.margin.shape == (3,)
