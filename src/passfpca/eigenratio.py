@@ -17,9 +17,15 @@ closed one-dimensional integral valid under elliptical scores
 guarantees the iteration converges near the fixed point.
 
 Each fixed-point step evaluates all ``q`` expectations in one array
-expression: a mean over the joint pairs, whose all-zero rows are dropped
-once, or a trapezoid sum in ``s = log v`` (step 0.25, exact to rounding;
-Trefethen & Weideman 2014, *SIAM Rev.* 56).
+expression: a matrix-vector product over the joint pairs, whose all-zero
+rows are dropped once, or a trapezoid sum in ``s = log v`` (step 0.25,
+exact to rounding; Trefethen & Weideman 2014, *SIAM Rev.* 56).  Both
+solvers share one loop, which accelerates the plain fixed-point map ``G``
+by depth-3 Anderson mixing (Walker & Ni 2011, *SIAM J. Numer. Anal.*
+49).  An estimate's ``iterations`` counts evaluations of ``G``, one per
+iteration of the accelerated loop, and its ``final_delta`` is the
+plain-map residual ``||G(x) - x||_inf`` at the last point ``x``
+evaluated; the returned ratios are ``G(x)``.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ _BOUND_CAP = 1e12
 
 # Trapezoid step in s = log v for the elliptical integral.
 _LOG_STEP = 0.25
+
+# Number of residual differences in the fixed-point loop's Anderson
+# mixing.
+_ANDERSON_DEPTH = 3
 
 
 @dataclass
@@ -121,11 +131,13 @@ class EigenratioEstimate:
         Estimated ``lambda_j / lambda_1`` with the first entry pinned to
         one.
     iterations : int
-        Number of fixed-point updates performed.
+        Number of evaluations of the plain fixed-point map ``G``, one per
+        iteration of the accelerated loop.
     converged : bool
-        True when the last update moved every ratio by at most ``tol``.
+        True when ``final_delta`` is at most ``tol``.
     final_delta : float
-        Max-norm of the last update step.
+        Max-norm of the plain-map residual ``G(x) - x`` at the last point
+        ``x`` evaluated; ``ratios`` is ``G(x)``.
     """
 
     ratios: np.ndarray
@@ -211,7 +223,7 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
             f"no curve pair is left after trimming: {n} curves, "
             f"trim_fraction {trim_fraction}")
     # Building holds two int64 pair indices and two gathered P x q arrays,
-    # 16q + 16 bytes a pair; the solver stage at most 16q + 17.
+    # 16q + 16 bytes a pair; the solver stage at most 8q + 17.
     _check_memory(n_pairs * (16 * q + 17),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
@@ -280,27 +292,52 @@ def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,
 def _run_fixed_point(f_eval: Callable[[np.ndarray], np.ndarray],
                      kappa_ratios: np.ndarray, start: np.ndarray,
                      tol: float, max_iter: int) -> EigenratioEstimate:
-    """Iterate lambda_k <- (kappa_k / kappa_1) f_1(Lambda)/f_k(Lambda)."""
+    """Iterate lambda_k <- (kappa_k / kappa_1) f_1(Lambda)/f_k(Lambda),
+    accelerated by Anderson mixing.
+
+    Each iteration evaluates the plain map ``G`` once at the current
+    point ``x`` and stops when ``||G(x) - x||_inf <= tol``, returning
+    ``G(x)``.  Otherwise the next point mixes the last
+    ``_ANDERSON_DEPTH + 1`` images of ``G`` over coordinates ``2..q``
+    (type-II Anderson mixing; Walker & Ni 2011, *SIAM J. Numer. Anal.*
+    49): with ``r = G(x) - x``, the coefficients ``gamma`` minimize
+    ``||r - dR gamma||_2`` over the residual differences ``dR``, and the
+    next point is ``G(x) - dG gamma``.  A mixed point with a ratio that
+    is not positive and finite is replaced by the plain step ``G(x)``.
+    """
     current = start.copy()
     current[0] = 1.0
-    delta = math.inf
-    iterations = 0
-    converged = False
+    # Residuals G(x) - x and images G(x) of the latest points, over the
+    # mixed coordinates 2..q.
+    residuals: list[np.ndarray] = []
+    images: list[np.ndarray] = []
     for iterations in range(1, max_iter + 1):
         f = f_eval(current)
         if not np.all(f > 0.0):
             raise DegenerateSampleError(
                 "fixed-point update produced a nonpositive expectation; "
                 "the projections carry no usable signal")
-        proposal = kappa_ratios * (f[0] / f)
-        proposal[0] = 1.0
-        delta = float(np.max(np.abs(proposal - current)))
-        current = proposal
+        image = kappa_ratios * (f[0] / f)
+        image[0] = 1.0
+        residual = image - current
+        delta = float(np.max(np.abs(residual)))
         if delta <= tol:
-            converged = True
-            break
-    return EigenratioEstimate(ratios=current, iterations=iterations,
-                              converged=converged, final_delta=delta)
+            return EigenratioEstimate(ratios=image, iterations=iterations,
+                                      converged=True, final_delta=delta)
+        current = image
+        if not math.isfinite(delta):
+            continue  # an overflowed image is not mixed
+        residuals = residuals[-_ANDERSON_DEPTH:] + [residual[1:]]
+        images = images[-_ANDERSON_DEPTH:] + [image[1:]]
+        if len(residuals) > 1:
+            gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T,
+                                    residual[1:], rcond=None)[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                mixed = image[1:] - np.diff(images, axis=0).T @ gamma
+            if np.all((mixed > 0.0) & np.isfinite(mixed)):
+                current = np.concatenate(([1.0], mixed))
+    return EigenratioEstimate(ratios=image, iterations=max_iter,
+                              converged=False, final_delta=delta)
 
 
 def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
@@ -328,7 +365,7 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
         Starting ratios (eigenratios of the classical covariance are a
         good choice).  Defaults to all ones.
     tol : float
-        Max-norm stopping tolerance on the ratio vector.
+        Max-norm stopping tolerance on the plain-map residual.
     max_iter : int
         Iteration budget.  Exceeding it returns a result flagged
         ``converged=False`` rather than raising, so sweeps never abort.
@@ -348,9 +385,10 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
     squared = pairscores.squared
 
     def f_eval(lam: np.ndarray) -> np.ndarray:
-        # Iterates stay positive, so every row's denominator does too.
-        denom = squared[:, 0] + squared[:, 1:] @ lam[1:]
-        return (squared / denom[:, None]).mean(axis=0)
+        # Iterates stay positive with lam[0] == 1, so every row's
+        # denominator V_1^2 + sum_{l>=2} lam_l V_l^2 does too.
+        weights = 1.0 / (squared @ lam)
+        return (weights @ squared) / squared.shape[0]
 
     return _run_fixed_point(f_eval, kappa_ratios, start, tol, max_iter)
 
@@ -463,17 +501,20 @@ def convergence_condition(pairscores: PairScores,
     if np.any(x < 0.0):
         raise DimensionMismatchError("x_star entries must be nonnegative")
     squared = pairscores.squared
-    denom = squared[:, 0] + squared[:, 1:] @ x
-    # Zero entries of x_star can zero a nonzero row's denominator.
+    denom = squared @ np.concatenate(([1.0], x))
+    # Zero entries of x_star can zero a nonzero row's denominator; such
+    # rows get zero weight and leave the averages.
     good = denom > 0.0
-    if not np.any(good):
+    n_good = np.count_nonzero(good)
+    if n_good == 0:
         raise DegenerateSampleError(
             "all retained pairs have zero projection norm")
-    ratio1 = squared[good] / denom[good, None]  # V_m^2 / den
-    first_order = ratio1.mean(axis=0)           # E[V_m^2 / den]
+    weights = np.divide(1.0, denom, out=np.zeros_like(denom), where=good)
+    first_order = (weights @ squared) / n_good   # E[V_m^2 / den]
+    ratio1 = squared * weights[:, None]          # V_m^2 / den
     # cross[m, l] = E[V_m^2 V_l^2 / den^2], indexed from the leading
     # component at m = 0.
-    cross = ratio1.T @ ratio1 / ratio1.shape[0]
+    cross = ratio1.T @ ratio1 / n_good
     lhs = np.abs(cross[1:, 1:] / first_order[1:, None]
                  - cross[0, 1:] / first_order[0]).sum(axis=1)
     bound = np.minimum(1.0 / np.maximum(x, 1.0 / _BOUND_CAP), _BOUND_CAP)

@@ -19,6 +19,7 @@ about the spatial median is included for benchmarking.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -369,9 +370,12 @@ def spatial_median(sample: FunctionalSample, tol: float = 1e-8,
     numpy.ndarray
         The median curve on the grid.
     """
-    values = sample.values
     if sample.n == 1:
-        return values[0].copy()
+        return sample.values[0].copy()
+    # Iterate on the copy scaled by 2^-e, where squared distances cannot
+    # overflow; every step, the floors at 2^-e included, scales exactly.
+    values, exponent = _unit_scale(sample.values)
+    unit = math.ldexp(1.0, -exponent)
     spacing = sample.grid.spacing
     median = values.mean(axis=0)
     for iteration in range(1, max_iter + 1):
@@ -379,20 +383,22 @@ def spatial_median(sample: FunctionalSample, tol: float = 1e-8,
         dist = np.sqrt(spacing * np.einsum("ij,ij->i", diff, diff))
         # Floor the distances so curves sitting on the current iterate do
         # not blow up the weights.
-        floor = 1e-14 * max(dist.max(), 1.0)
+        floor = 1e-14 * max(dist.max(), unit)
         dist = np.maximum(dist, floor)
         weights = 1.0 / dist
         new_median = (weights[:, None] * values).sum(axis=0) / weights.sum()
         step = np.sqrt(spacing * np.dot(new_median - median,
                                         new_median - median))
-        scale = max(1.0, np.sqrt(spacing * np.dot(new_median, new_median)))
+        scale = max(unit, np.sqrt(spacing * np.dot(new_median, new_median)))
         median = new_median
         if step <= tol * scale:
-            return median
+            return np.ldexp(median, exponent)
+    step = math.ldexp(float(step), exponent)
     raise ConvergenceError(
         f"spatial median did not converge in {max_iter} iterations "
         f"(last step {step:.3e})",
-        last_iterate=median, iterations=max_iter, final_delta=float(step))
+        last_iterate=np.ldexp(median, exponent), iterations=max_iter,
+        final_delta=step)
 
 
 def mspc(sample: FunctionalSample, q: int) -> EigenSystem:
@@ -419,7 +425,9 @@ def mspc(sample: FunctionalSample, q: int) -> EigenSystem:
             f"spherical principal components need at least 2 curves, got "
             f"{sample.n}")
     median = spatial_median(sample)
-    deviations = sample.values - median
+    # Signs are scale-free; on the scaled deviations squared norms
+    # cannot overflow.
+    deviations, _ = _unit_scale(sample.values - median)
     spacing = sample.grid.spacing
     sq = spacing * np.einsum("ij,ij->i", deviations, deviations)
     max_sq = sq.max()

@@ -374,6 +374,142 @@ def test_eigenratio_mc_validation():
 
 
 # ---------------------------------------------------------------------------
+# the accelerated fixed-point loop
+
+
+def _quotient_mean_expectations(squared):
+    """The MC expectations as the column means of the M x q quotient."""
+    def f_eval(lam):
+        denom = squared[:, 0] + squared[:, 1:] @ lam[1:]
+        return (squared / denom[:, None]).mean(axis=0)
+    return f_eval
+
+
+def _plain_fixed_point(f_eval, pass_eigenvalues, tol, max_iter):
+    """The unaccelerated iteration from all-ones ratios, written out."""
+    kappa_ratios = pass_eigenvalues / pass_eigenvalues[0]
+    current = np.ones_like(kappa_ratios)
+    for iterations in range(1, max_iter + 1):
+        f = f_eval(current)
+        proposal = kappa_ratios * (f[0] / f)
+        proposal[0] = 1.0
+        delta = np.max(np.abs(proposal - current))
+        current = proposal
+        if delta <= tol:
+            return current, iterations, True
+    return current, max_iter, False
+
+
+def _drawn_pairscores(seed, n_pairs, q, law):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n_pairs, q)) * 0.7 ** np.arange(q)
+    if law == "t3":
+        raw /= np.sqrt(rng.chisquare(3, size=(n_pairs, 1)) / 3)
+    elif law == "lognormal":
+        raw = np.exp(raw) - np.exp(0.5 * 0.49 ** np.arange(q))
+    return PairScores(np.square(raw), np.ones(q),
+                      np.ones(n_pairs, dtype=bool))
+
+
+def test_mc_step_matches_quotient_mean(monkeypatch):
+    # eigenratio_mc's step is a matrix-vector product; it must agree
+    # with the quotient's column means to rounding.
+    captured = []
+    run = eigenratio._run_fixed_point
+
+    def record(f_eval, *args):
+        captured.append(f_eval)
+        return run(f_eval, *args)
+
+    monkeypatch.setattr(eigenratio, "_run_fixed_point", record)
+    rng = np.random.default_rng(12)
+    for law in ("gaussian", "t3", "lognormal"):
+        scores = _drawn_pairscores(5, 3000, 4, law)
+        eigenratio_mc(scores, np.array([0.4, 0.3, 0.2, 0.1]))
+        reference = _quotient_mean_expectations(scores.squared)
+        for _ in range(5):
+            lam = np.concatenate(([1.0], np.exp(rng.uniform(-5, 3, 3))))
+            np.testing.assert_allclose(captured[-1](lam), reference(lam),
+                                       rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_pairs=st.integers(20, 400),
+       law=st.sampled_from(["gaussian", "t3", "lognormal"]),
+       kappa=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))
+def test_accelerated_solver_converges_where_plain_loop_does(
+        seed, n_pairs, law, kappa):
+    kappa = np.sort(kappa)[::-1]
+    scores = _drawn_pairscores(seed, n_pairs, kappa.size, law)
+    tol = 1e-10
+    plain, _, plain_converged = _plain_fixed_point(
+        _quotient_mean_expectations(scores.squared), kappa, tol, 500)
+    estimate = eigenratio_mc(scores, kappa, tol=tol)
+    if plain_converged:
+        assert estimate.converged
+        assert np.max(np.abs(estimate.ratios - plain)) <= 10 * tol
+
+
+def test_anderson_mixing_cuts_iterations():
+    for seed in (10, 20, 30):
+        _, system, scores = _gaussian_fit(n=200, seed=seed, trim=0.02)
+        plain, plain_iterations, plain_converged = _plain_fixed_point(
+            _quotient_mean_expectations(scores.squared),
+            system.eigenvalues, 1e-8, 500)
+        estimate = eigenratio_mc(scores, system.eigenvalues)
+        assert plain_converged and estimate.converged
+        assert 2 * estimate.iterations <= plain_iterations
+        assert np.max(np.abs(estimate.ratios - plain)) <= 1e-7
+
+
+def test_fallback_keeps_iterates_positive():
+    # Slope 0.99 above 2 puts the root of the residual's linear
+    # extension at -50, where Anderson mixing over points on that piece
+    # lands; below 2 the map contracts to its fixed point 1.
+    def plain_map(x):
+        return 0.99 * x - 0.5 if x >= 2.0 else 1.0 + 0.48 * (x - 1.0)
+
+    points = []
+
+    def f_eval(lam):
+        points.append(lam.copy())
+        return np.array([plain_map(lam[1]), 1.0])
+
+    estimate = eigenratio._run_fixed_point(
+        f_eval, np.ones(2), np.array([1.0, 5.0]), 1e-10, 100)
+    assert estimate.converged
+    assert estimate.ratios[1] == pytest.approx(1.0, abs=1e-10)
+    assert estimate.iterations == len(points)
+    assert all(p[0] == 1.0 and p[1] > 0.0 for p in points)
+    # The third point is the plain step: mixing would have given -50.
+    assert points[2][1] == plain_map(points[1][1])
+
+
+def test_max_iter_returns_plain_step_and_its_residual():
+    # Without convergence the loop returns G(x) at the last point it
+    # evaluated, and final_delta is ||G(x) - x||_inf there.
+    _, system, scores = _gaussian_fit(n=100, seed=3, trim=0.02)
+    squared = scores.squared
+    points = []
+
+    def f_eval(lam):
+        points.append(lam.copy())
+        return _quotient_mean_expectations(squared)(lam)
+
+    kappa_ratios = system.eigenvalues / system.eigenvalues[0]
+    estimate = eigenratio._run_fixed_point(
+        f_eval, kappa_ratios, np.ones(4), 1e-14, 5)
+    assert not estimate.converged
+    assert estimate.iterations == len(points) == 5
+    last = points[-1]
+    f = _quotient_mean_expectations(squared)(last)
+    image = kappa_ratios * (f[0] / f)
+    image[0] = 1.0
+    np.testing.assert_array_equal(estimate.ratios, image)
+    assert estimate.final_delta == np.max(np.abs(image - last))
+
+
+# ---------------------------------------------------------------------------
 # elliptical_expectation
 
 

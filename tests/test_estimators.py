@@ -466,6 +466,22 @@ def test_mspc_gaussian_first_eigenfunction():
     assert l2_norm(est - target, grid) ** 2 < 0.1
 
 
+def test_mspc_is_scale_free_at_1e160():
+    # Squared distances of curves this large overflow a float unless the
+    # median's iteration and the signs run on a rescaled copy.
+    sample, _ = generate(SimulationConfig(n=50, score_law="lognormal",
+                                          outlier_scheme="ol2", seed=5))
+    base = mspc(sample, 4)
+    big_sample = FunctionalSample(sample.values * 1e160)
+    big = mspc(big_sample, 4)
+    np.testing.assert_allclose(big.eigenfunctions, base.eigenfunctions,
+                               rtol=0, atol=1e-6)
+    np.testing.assert_allclose(big.eigenvalues, base.eigenvalues,
+                               rtol=1e-6)
+    np.testing.assert_allclose(spatial_median(big_sample) / 1e160,
+                               spatial_median(sample), rtol=0, atol=1e-6)
+
+
 def test_pass_and_classical_agree_on_clean_large_samples():
     # With no contamination both surfaces share their eigenfunctions in
     # the limit; at n=800 the leading ones agree to within 10 degrees
