@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateSampleError,
@@ -81,7 +82,9 @@ class PairScores:
     each column.  Only the pairs retained in every component are kept,
     and the constructor drops their all-zero rows, which weigh nothing in
     any expectation; it raises :class:`DegenerateSampleError` when no row
-    is left.
+    is left.  :func:`pair_scores` builds them one component at a time
+    from the curves' projections, never holding all ``P x q`` pair
+    projections at once.
 
     Attributes
     ----------
@@ -186,6 +189,12 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     computed, which keeps single wild pairs from dominating the
     normalization under heavy-tailed scores.
 
+    The build runs in two passes over the components, each filling one
+    ``P``-long buffer with a component's squared pair projections from
+    the ``n x q`` curve projections (``scipy.spatial.distance.pdist``):
+    the first trims it and takes its standardizer, the second writes
+    its jointly retained scores into their column of the result.
+
     Parameters
     ----------
     sample : FunctionalSample
@@ -222,36 +231,42 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         raise InsufficientSampleError(
             f"no curve pair is left after trimming: {n} curves, "
             f"trim_fraction {trim_fraction}")
-    # Building holds two int64 pair indices and two gathered P x q arrays,
-    # 16q + 16 bytes a pair; the solver stage at most 8q + 17.
-    _check_memory(n_pairs * (16 * q + 17),
+    # Pass 1 holds a P-long buffer, its partition copy and two masks, 18
+    # bytes a pair; pass 2 and the solver hold the M x q scores, the
+    # buffer or its M-long successors and the joint mask, 8q + 17.
+    _check_memory(n_pairs * (8 * q + 18),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
     # squares cannot overflow; the scores are ratios and do not change.
     values, exponent = _unit_scale(sample.values)
-    # Projections of each curve, combined pairwise by subtraction.
     curve_proj = sample.grid.spacing * (
         values @ eigensystem.eigenfunctions[:, :q])
     del values
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    raw = curve_proj[i_idx] - curve_proj[j_idx]
-    del i_idx, j_idx
+    # Each pass fills `row` with one component's squared projections,
+    # pairs i < j in row-major order.  Squaring is strictly increasing on
+    # normal floats, so trimming the squares trims the largest magnitudes.
+    row = np.empty(n_pairs)
     joint_mask = np.ones(n_pairs, dtype=bool)
     standardizers = np.empty(q)
     for col in range(q):
-        column = raw[:, col]
+        pdist(curve_proj[:, col:col + 1], "sqeuclidean", out=row)
         retained = np.ones(n_pairs, dtype=bool)
         if n_trim > 0:
-            _trim_largest(np.abs(column), n_trim, retained)
+            _trim_largest(row, n_trim, retained)
         joint_mask &= retained
-        s = float(np.mean(column[retained] ** 2))
+        s = float(np.mean(row[retained]))
         if s <= 0.0:
             raise DegenerateSampleError(
                 f"component {col}: all pair projections are zero")
         standardizers[col] = s
-        column /= math.sqrt(s)
-    squared = raw[joint_mask]
-    np.square(squared, out=squared)
+    del retained
+    # Pass 2 rebuilds each component to fill its column of the jointly
+    # retained scores, kept C-contiguous for the solvers' products.
+    squared = np.empty((np.count_nonzero(joint_mask), q))
+    for col in range(q):
+        pdist(curve_proj[:, col:col + 1], "sqeuclidean", out=row)
+        np.divide(row[joint_mask], standardizers[col], out=squared[:, col])
+    del row
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)

@@ -164,11 +164,16 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     if n < 2:
         raise InsufficientSampleError(
             f"sample covariance needs at least 2 curves, got {n}")
-    centered = sample.values - mean_function(sample)
+    # Accumulate on the copy scaled by 2^-e, where the products cannot
+    # overflow; scaling back is exact, and a surface beyond the float
+    # range reads inf, which the surface rejects.
+    values, exponent = _unit_scale(sample.values)
+    centered = values - values.mean(axis=0)
     acc = np.zeros((sample.grid.n_points, sample.grid.n_points))
     for row in centered:
         acc += row[:, None] * row[None, :]
-    return CovarianceSurface(acc / (n - 1))
+    with np.errstate(over="ignore"):
+        return CovarianceSurface(np.ldexp(acc / (n - 1), 2 * exponent))
 
 
 def _physical_memory() -> Optional[int]:
@@ -302,10 +307,6 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
         block[~far] = 0.0
     # Each retained pair was counted from both of its rows.
     retained //= 2
-    if retained == 0:
-        raise DegenerateSampleError(
-            "all curve pairs are coincident; the pairwise covariance is "
-            "undefined")
     # (D - W) X first, so each row's cancellation happens in one vector.
     laplacian_x = weights.sum(axis=1)[:, None] * centred - weights @ centred
     acc = centred.T @ laplacian_x
@@ -435,9 +436,6 @@ def mspc(sample: FunctionalSample, q: int) -> EigenSystem:
         raise DegenerateSampleError(
             "every curve coincides with the spatial median")
     keep = sq > _DEGENERATE_REL_TOL * max_sq
-    if not np.any(keep):
-        raise DegenerateSampleError(
-            "every curve coincides with the spatial median")
     signs = deviations[keep] / np.sqrt(sq[keep])[:, None]
     surface_matrix = (signs.T @ signs) / signs.shape[0]
     surface_matrix = 0.5 * (surface_matrix + surface_matrix.T)

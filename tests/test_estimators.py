@@ -103,6 +103,15 @@ def test_sample_covariance_matches_brute_force_exactly():
             assert np.array_equal(surface.matrix, expected)
 
 
+def test_sample_covariance_is_exact_at_2_to_the_510():
+    # Products of curves this large overflow a float, while the surface,
+    # at about 2^1020, does not; power-of-two scaling is exact.
+    values = np.random.default_rng(3).standard_normal((1000, 6))
+    base = sample_covariance(_sample(values)).matrix
+    big = sample_covariance(_sample(np.ldexp(values, 510))).matrix
+    assert np.array_equal(big, np.ldexp(base, 1020))
+
+
 def test_sample_covariance_recovers_spectrum():
     sample, _ = generate(SimulationConfig(n=800, seed=5))
     system = eigendecompose(sample_covariance(sample), 4)

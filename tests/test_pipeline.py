@@ -145,3 +145,16 @@ def test_pairscores_expose_what_the_benchmark_tracer_reads():
     estimate = pipeline.evaluate("pass_mc")
     diagnostic = convergence_condition(scores, estimate.ratios[1:])
     assert diagnostic.margin.shape == (3,)
+
+
+def test_pass_mc_is_scale_free_at_1e160():
+    # The classical surface of curves this large exceeds the float range
+    # and is rejected, so the solver starts from ones instead of the
+    # classical ratios; it reaches the same fixed point.
+    sample, _ = generate(SimulationConfig(n=50, score_law="lognormal",
+                                          outlier_scheme="ol2", seed=5))
+    base = Pipeline(sample).evaluate("pass_mc")
+    big = Pipeline(FunctionalSample(sample.values * 1e160)).evaluate(
+        "pass_mc")
+    assert big.converged
+    np.testing.assert_allclose(big.ratios, base.ratios, rtol=1e-6)
