@@ -84,7 +84,8 @@ class PairScores:
     any expectation; it raises :class:`DegenerateSampleError` when no row
     is left.  :func:`pair_scores` builds them one component at a time
     from the curves' projections, never holding all ``P x q`` pair
-    projections at once.
+    projections at once, and drops the all-zero rows of its own array in
+    place, so the constructor's copy serves caller-owned arrays only.
 
     Attributes
     ----------
@@ -267,6 +268,17 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         pdist(curve_proj[:, col:col + 1], "sqeuclidean", out=row)
         np.divide(row[joint_mask], standardizers[col], out=squared[:, col])
     del row
+    # Pairs of coincident curves score zero in every component.  Their
+    # rows are dropped here, in place and one column at a time, so that
+    # the constructor has no second M x q copy to make.
+    nonzero = squared.any(axis=1)
+    kept = np.count_nonzero(nonzero)
+    if 0 < kept < nonzero.size:
+        for col in range(q):
+            # Masking the column view reads the mask directly, where
+            # squared[nonzero, col] would first expand it to int64 indices.
+            squared[:kept, col] = squared[:, col][nonzero]
+        squared = squared[:kept]
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import eigh
 
 from .errors import (BasisSizeError, DimensionMismatchError,
                      InsufficientSampleError)
@@ -65,21 +65,11 @@ def _shrink_factors(penalty: float, eigs: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + penalty * eigs)
 
 
-def _second_difference(n: int) -> np.ndarray:
-    rows = n - 2
-    mat = np.zeros((rows, n))
-    idx = np.arange(rows)
-    mat[idx, idx] = 1.0
-    mat[idx, idx + 1] = -2.0
-    mat[idx, idx + 2] = 1.0
-    return mat
-
-
 @lru_cache(maxsize=_CACHED_GRIDS)
 def _curve_smoother(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the curve roughness penalty on a grid of
     ``n_points`` points with spacing ``1/n_points``."""
-    d2 = _second_difference(n_points)
+    d2 = np.diff(np.eye(n_points), 2, axis=0)
     # Scale so the quadratic form approximates the integrated squared
     # second derivative.
     penalty_matrix = (d2.T @ d2) / (1.0 / n_points) ** 3
@@ -151,25 +141,30 @@ class _SurfaceSmoother:
         n_points, m = basis.shape
         btb = basis.T @ basis
         # Normal matrix over off-diagonal cells: the full tensor product
-        # minus each diagonal cell's contribution.
-        quartic = np.einsum("ja,jb,jc,jd->abcd", basis, basis, basis, basis)
-        xtx = (np.kron(btb, btb)
-               - quartic.transpose(0, 2, 1, 3).reshape(m * m, m * m))
-        d2 = _second_difference(m)
+        # minus the diagonal cells' design rows b(t_j) (x) b(t_j).
+        cells = (basis[:, :, None] * basis[:, None, :]).reshape(
+            n_points, m * m)
+        xtx = np.kron(btb, btb)
+        xtx -= cells.T @ cells
+        del cells
+        d2 = np.diff(np.eye(m), 2, axis=0)
         marginal_penalty = d2.T @ d2
         penalty = (np.kron(marginal_penalty, np.eye(m))
                    + np.kron(np.eye(m), marginal_penalty))
-        # Small ridge so the Cholesky factor exists even for basis sizes
-        # close to the grid size.
-        chol = cholesky(xtx + 1e-10 * np.eye(m * m), lower=False)
-        chol_inv = solve_triangular(chol, np.eye(m * m), lower=False)
-        balanced = chol_inv.T @ penalty @ chol_inv
-        eigs, rotations = np.linalg.eigh(0.5 * (balanced + balanced.T))
+        # xtx is a Gram matrix, so positive semidefinite; the small ridge
+        # makes it definite, as the generalized eigensolver requires, even
+        # for basis sizes close to the grid size.  The solver returns T
+        # with T' (xtx + ridge) T = I and T' penalty T = diag(eigs), which
+        # makes the penalized fit diagonal in u = T' X'y.  The fit reads T
+        # only through T diag(d) T' and sums of d-weighted u**2, which are
+        # the same for any signs of the eigenvectors and any basis within
+        # a repeated eigenvalue.
+        eigs, transform = eigh(penalty, xtx + 1e-10 * np.eye(m * m))
         self.basis = basis
         self.m = m
         self.n_cells = n_points * n_points - n_points
         self.penalty_eigs = np.clip(eigs, 0.0, None)
-        self.transform = chol_inv @ rotations
+        self.transform = transform
 
     def fit(self, matrix: np.ndarray, penalty: Optional[float],
             ) -> np.ndarray:
@@ -181,16 +176,15 @@ class _SurfaceSmoother:
         projected = (self.basis.T @ filled @ self.basis).reshape(-1)
         u = self.transform.T @ projected
         if penalty is None:
+            # GCV: evaluate every candidate penalty at once; argmin keeps
+            # the first of tied minima.
             yss = float(np.sum(filled * filled))
-            best_gcv = math.inf
-            penalty = _SURFACE_PENALTIES[0]
-            for candidate in _SURFACE_PENALTIES:
-                d = 1.0 / (1.0 + candidate * self.penalty_eigs)
-                rss = yss - 2.0 * np.sum(u * u * d) + np.sum((u * d) ** 2)
-                edf = d.sum()
-                gcv = self.n_cells * rss / (self.n_cells - edf) ** 2
-                if gcv < best_gcv:
-                    best_gcv, penalty = gcv, candidate
+            d = 1.0 / (1.0 + _SURFACE_PENALTIES[:, None] * self.penalty_eigs)
+            rss = (yss - 2.0 * np.sum(u * u * d, axis=1)
+                   + np.sum((u * d) ** 2, axis=1))
+            edf = d.sum(axis=1)
+            gcv = self.n_cells * rss / (self.n_cells - edf) ** 2
+            penalty = _SURFACE_PENALTIES[np.argmin(gcv)]
         d = _shrink_factors(penalty, self.penalty_eigs)
         coef = (self.transform @ (d * u)).reshape(self.m, self.m)
         smoothed = self.basis @ coef @ self.basis.T

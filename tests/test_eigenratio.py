@@ -190,6 +190,34 @@ def test_pair_scores_memory_estimate_covers_the_traced_peak(
     assert peak <= estimate <= 1.25 * peak
 
 
+@pytest.mark.parametrize("q, trim", [(1, 0.0), (1, 0.02), (4, 0.0),
+                                     (4, 0.02)])
+def test_pair_scores_memory_estimate_covers_coincident_curves(
+        monkeypatch, q, trim):
+    # Eleven identical curves give 55 pairs that score zero in every
+    # component; dropping their rows must not copy the M x q scores.
+    sample, _ = generate(SimulationConfig(n=600, seed=12))
+    values = sample.values.copy()
+    values[300:310] = values[0]
+    sample = FunctionalSample(values)
+    system = eigendecompose(pass_covariance(sample), 4)
+    estimates = []
+    monkeypatch.setattr(eigenratio, "_check_memory",
+                        lambda n_bytes, what: estimates.append(n_bytes))
+    tracemalloc.start()
+    try:
+        scores = pair_scores(sample, system, q, trim)
+        eigenratio_mc(scores, system.eigenvalues[:q])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [estimate] = estimates
+    assert peak <= estimate
+    assert scores.squared.shape[0] <= np.count_nonzero(scores.joint_mask) - 55
+    assert scores.squared.any(axis=1).all()
+    assert scores.squared.flags.c_contiguous
+
+
 def test_pair_scores_validation():
     sample, system, _ = _gaussian_fit(n=20, seed=1)
     with pytest.raises(DimensionMismatchError):

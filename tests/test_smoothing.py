@@ -1,7 +1,10 @@
 """Tests for curve pre-smoothing and covariance surface smoothing."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from passfpca import (
     BasisSizeError,
@@ -16,8 +19,10 @@ from passfpca import (
     make_grid,
     pass_covariance,
     presmooth,
+    sample_covariance,
     smooth_surface,
 )
+from passfpca import smoothing
 
 
 def _noisy_sample(n=50, noise_sd=1.0, seed=0):
@@ -169,3 +174,76 @@ def test_smooth_surface_validation():
     for penalty in (-1.0, np.nan):
         with pytest.raises(DimensionMismatchError):
             smooth_surface(surface, penalty=penalty)
+
+
+# ---------------------------------------------------------------------------
+# surface smoother operators
+
+
+def _smoother_operators(monkeypatch, n_points, basis_size):
+    """Build a surface smoother, capturing the penalty and the ridged
+    normal matrix handed to the generalized eigensolver."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return scipy.linalg.eigh(a, b)
+
+    monkeypatch.setattr(smoothing, "eigh", spy)
+    smoother = smoothing._SurfaceSmoother(make_grid(n_points).points,
+                                          basis_size)
+    [(penalty, ridged)] = calls
+    return smoother, penalty, ridged
+
+
+def test_surface_normal_matrix_matches_literal_design(monkeypatch):
+    smoother, _, ridged = _smoother_operators(monkeypatch, 9, 5)
+    basis = smoother.basis
+    design = np.array([np.kron(basis[j], basis[k])
+                       for j in range(9) for k in range(9) if j != k])
+    literal = design.T @ design
+    xtx = ridged - 1e-10 * np.eye(25)
+    np.testing.assert_allclose(xtx, literal, rtol=0,
+                               atol=1e-12 * np.abs(literal).max())
+
+
+def test_surface_transform_diagonalizes_both_forms(monkeypatch):
+    smoother, penalty, ridged = _smoother_operators(monkeypatch, 101, 15)
+    transform = smoother.transform
+    np.testing.assert_allclose(transform.T @ ridged @ transform,
+                               np.eye(225), rtol=0, atol=1e-12)
+    eigs = smoother.penalty_eigs
+    np.testing.assert_allclose(transform.T @ penalty @ transform,
+                               np.diag(eigs), rtol=0,
+                               atol=1e-12 * eigs.max())
+
+
+def test_surface_gcv_picks_the_per_candidate_minimum(monkeypatch):
+    chosen = []
+    shrink = smoothing._shrink_factors
+    monkeypatch.setattr(
+        smoothing, "_shrink_factors",
+        lambda penalty, eigs: chosen.append(penalty) or shrink(penalty, eigs))
+    clean, _ = generate(SimulationConfig(n=100, seed=41))
+    surfaces = [pass_covariance(_noisy_sample(n=100, seed=37)),
+                sample_covariance(_noisy_sample(n=100, noise_sd=0.3, seed=39)),
+                pass_covariance(clean)]
+    for surface in surfaces:
+        chosen.clear()
+        smooth_surface(surface)
+        smoother = smoothing._surface_smoother(surface.grid.n_points, 15)
+        # The literal loop: each candidate's GCV score in turn, keeping
+        # the first strict minimum.
+        filled = surface.matrix.copy()
+        np.fill_diagonal(filled, 0.0)
+        u = smoother.transform.T @ (
+            smoother.basis.T @ filled @ smoother.basis).reshape(-1)
+        yss = float(np.sum(filled * filled))
+        best_gcv, expected = math.inf, None
+        for candidate in smoothing._SURFACE_PENALTIES:
+            d = 1.0 / (1.0 + candidate * smoother.penalty_eigs)
+            rss = yss - 2.0 * np.sum(u * u * d) + np.sum((u * d) ** 2)
+            gcv = smoother.n_cells * rss / (smoother.n_cells - d.sum()) ** 2
+            if gcv < best_gcv:
+                best_gcv, expected = gcv, candidate
+        assert chosen == [expected]
