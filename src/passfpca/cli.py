@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict, fields
@@ -53,6 +54,11 @@ class _FormatError(Exception):
     """A file parsed as text but violates the expected schema."""
 
 
+# Bytes of a curves file that numpy's parser may read: printable ASCII
+# other than the quote, and line ends.
+_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != 0x22) + b"\r\n"
+
+
 def _fmt(value: float) -> str:
     """Shortest exact decimal form of a float (deterministic)."""
     return repr(float(value))
@@ -74,33 +80,88 @@ def write_curves_csv(path: str, sample: FunctionalSample) -> None:
 def read_curves_csv(path: str) -> FunctionalSample:
     """Read a wide-format curves CSV back into a sample.
 
+    numpy's C parser reads the body.  Its values stand only when the
+    file is printable ASCII without quotes, the header passes the row
+    parser's checks, the body holds exactly ``N`` commas per row read
+    and every value is finite; in every other case
+    :func:`_read_curves_rows` reads the file again and returns the same
+    values or raises the error with its line number.
+
     Raises
     ------
     _FormatError
         On any schema violation, with the offending line number.
     """
+    values = _read_plain_curves(path)
+    if values is None:
+        return _read_curves_rows(path)
+    return FunctionalSample(values)
+
+
+def _read_plain_curves(path: str) -> Optional[np.ndarray]:
+    """Curve values by numpy's C parser, or None where it could differ
+    from the row parser.
+
+    Lines of printable ASCII without quotes split on their commas
+    exactly as ``csv.reader`` splits them, and hold no character that
+    numpy strips from a field where ``float`` does not.  ``usecols``
+    ignores extra fields, so the body must hold exactly ``N`` commas per
+    row read; a line of blanks, which the row parser rejects, makes
+    ``loadtxt`` raise.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    if b"\r" in raw:  # csv.reader ends a line at \r\n, \r or \n alike
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header_end = raw.find(b"\n")
+    n_commas = raw.count(b",", header_end + 1)
+    if header_end < 0 or n_commas == 0:  # no row for loadtxt to read
+        return None
+    try:
+        n_points = _grid_size(path, raw[:header_end].decode().split(","))
+        values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1,
+                            usecols=range(1, n_points + 1), comments=None,
+                            ndmin=2)
+    except (_FormatError, ValueError):
+        return None
+    if (n_commas != values.shape[0] * n_points
+            or not np.isfinite(values).all()):
+        return None
+    return values
+
+
+def _grid_size(path: str, header: list[str]) -> int:
+    """Number of grid points named by a curves header."""
+    if len(header) < 3 or header[0] != "curve_id":
+        raise _FormatError(
+            f"{path}:1: header must be 'curve_id' followed by at "
+            f"least 2 grid columns")
+    n_points = len(header) - 1
+    grid = make_grid(n_points)
+    try:
+        header_points = np.array([float(h) for h in header[1:]])
+    except ValueError as exc:
+        raise _FormatError(
+            f"{path}:1: grid column names must be numeric: {exc}"
+        ) from None
+    if np.max(np.abs(header_points - grid.points)) > 1e-9:
+        raise _FormatError(
+            f"{path}:1: grid columns do not match the regular grid "
+            f"t_j = j/{n_points}")
+    return n_points
+
+
+def _read_curves_rows(path: str) -> FunctionalSample:
+    """Read a curves CSV row by row with ``csv.reader``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise _FormatError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "curve_id":
-            raise _FormatError(
-                f"{path}:1: header must be 'curve_id' followed by at "
-                f"least 2 grid columns")
-        n_points = len(header) - 1
-        grid = make_grid(n_points)
-        try:
-            header_points = np.array([float(h) for h in header[1:]])
-        except ValueError as exc:
-            raise _FormatError(
-                f"{path}:1: grid column names must be numeric: {exc}"
-            ) from None
-        if np.max(np.abs(header_points - grid.points)) > 1e-9:
-            raise _FormatError(
-                f"{path}:1: grid columns do not match the regular grid "
-                f"t_j = j/{n_points}")
+        n_points = _grid_size(path, header)
         rows = []
         line_nos = []
         for line_no, record in enumerate(reader, start=2):

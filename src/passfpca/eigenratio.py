@@ -31,7 +31,7 @@ evaluated; the returned ratios are ``G(x)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,15 +82,19 @@ class PairScores:
     each column.  Only the pairs retained in every component are kept,
     and the constructor drops their all-zero rows, which weigh nothing in
     any expectation; it raises :class:`DegenerateSampleError` when no row
-    is left.  :func:`pair_scores` builds them one component at a time
-    from the curves' projections, never holding all ``P x q`` pair
-    projections at once, and drops the all-zero rows of its own array in
-    place, so the constructor's copy serves caller-owned arrays only.
+    is left.  The scores are stored component-major (Fortran order), so
+    each component is one contiguous column for the solvers' products;
+    the constructor copies a caller's array into that layout in the same
+    single copy that drops zero rows.  :func:`pair_scores` builds them
+    one component at a time from the curves' projections, never holding
+    all ``P x q`` pair projections at once, and lets the constructor drop
+    the zero rows inside the array it has just built.
 
     Attributes
     ----------
     squared : numpy.ndarray
-        ``(M, q)`` squared scores of the jointly retained pairs.
+        ``(M, q)`` F-contiguous squared scores of the jointly retained
+        pairs.
     standardizers : numpy.ndarray
         The positive constants ``s_l`` on the scale of the input curves
         (inf where that exceeds the float range).
@@ -102,17 +106,37 @@ class PairScores:
     squared: np.ndarray = field(repr=False)
     standardizers: np.ndarray = field(repr=False)
     joint_mask: np.ndarray = field(repr=False)
+    # True lets the constructor pack the kept rows into ``squared``'s own
+    # F-contiguous buffer; only pair_scores passes it, for its own array.
+    _reuse: InitVar[bool] = False
 
-    def __post_init__(self):
-        if self.squared.shape[0] == 0:
+    def __post_init__(self, _reuse):
+        squared = self.squared
+        if squared.shape[0] == 0:
             raise DegenerateSampleError(
                 "no pair is retained in every component; lower trim_fraction")
-        nonzero = self.squared.any(axis=1)
-        if not nonzero.all():  # copy only when a row must go
-            self.squared = self.squared[nonzero]
-        if self.squared.shape[0] == 0:
+        # One scan, a column at a time: contiguous in component-major
+        # storage, where a row-wise any() strides across the columns.
+        nonzero = squared[:, 0] != 0.0
+        for col in range(1, self.q):
+            nonzero |= squared[:, col] != 0.0
+        kept = np.count_nonzero(nonzero)
+        if kept == 0:
             raise DegenerateSampleError(
                 "all retained pairs have zero projection norm")
+        if kept == nonzero.size and squared.flags.f_contiguous:
+            return
+        # Column l's kept rows go to [l * kept, (l + 1) * kept), which
+        # ends before column l + 1 starts, so packing in place reads no
+        # overwritten value.  Masking the column view reads the mask
+        # directly, where squared[nonzero, col] would first expand it to
+        # int64 indices.
+        flat = (squared.reshape(-1, order="F") if _reuse
+                else np.empty(kept * self.q, dtype=squared.dtype))
+        for col in range(self.q):
+            flat[col * kept:(col + 1) * kept] = squared[:, col][nonzero]
+        self.squared = flat[:kept * self.q].reshape((kept, self.q),
+                                                   order="F")
 
     @property
     def q(self) -> int:
@@ -262,27 +286,20 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         standardizers[col] = s
     del retained
     # Pass 2 rebuilds each component to fill its column of the jointly
-    # retained scores, kept C-contiguous for the solvers' products.
-    squared = np.empty((np.count_nonzero(joint_mask), q))
+    # retained scores, stored component-major so each column is one
+    # contiguous block.
+    squared = np.empty((np.count_nonzero(joint_mask), q), order="F")
     for col in range(q):
         pdist(curve_proj[:, col:col + 1], "sqeuclidean", out=row)
         np.divide(row[joint_mask], standardizers[col], out=squared[:, col])
     del row
-    # Pairs of coincident curves score zero in every component.  Their
-    # rows are dropped here, in place and one column at a time, so that
-    # the constructor has no second M x q copy to make.
-    nonzero = squared.any(axis=1)
-    kept = np.count_nonzero(nonzero)
-    if 0 < kept < nonzero.size:
-        for col in range(q):
-            # Masking the column view reads the mask directly, where
-            # squared[nonzero, col] would first expand it to int64 indices.
-            squared[:kept, col] = squared[:, col][nonzero]
-        squared = squared[:kept]
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)
-    return PairScores(squared, standardizers, joint_mask)
+    # Pairs of coincident curves score zero in every component; the
+    # constructor drops their rows inside this array, with no second
+    # M x q copy.
+    return PairScores(squared, standardizers, joint_mask, _reuse=True)
 
 
 def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,

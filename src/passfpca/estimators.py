@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
@@ -334,13 +335,15 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
         norm, signed so the entry of largest magnitude is positive.
     """
     grid = surface.grid
-    if not 1 <= q <= grid.n_points:
+    n_points = grid.n_points
+    if not 1 <= q <= n_points:
         raise DimensionMismatchError(
-            f"q must be between 1 and {grid.n_points}, got {q}")
-    evals, evecs = np.linalg.eigh(surface.matrix)
-    order = np.argsort(evals)[::-1][:q]
-    evals = evals[order] * grid.spacing
-    evecs = evecs[:, order] * np.sqrt(grid.n_points)
+            f"q must be between 1 and {n_points}, got {q}")
+    # Only the top q eigenpairs, in ascending order.
+    evals, evecs = eigh(surface.matrix,
+                        subset_by_index=[n_points - q, n_points - 1])
+    evals = evals[::-1] * grid.spacing
+    evecs = evecs[:, ::-1] * np.sqrt(n_points)
     for col in range(q):
         peak = np.argmax(np.abs(evecs[:, col]))
         if evecs[peak, col] < 0:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passfpca import FunctionalSample, make_grid
+from passfpca import FunctionalSample, cli, make_grid
 from passfpca.cli import (
     EXIT_ESTIMATION,
     EXIT_FORMAT,
@@ -117,6 +117,52 @@ def test_curves_csv_round_trip_is_exact(scratch_csv, data, n, n_points):
     write_curves_csv(scratch_csv, FunctionalSample(values))
     recovered = read_curves_csv(scratch_csv).values
     assert np.array_equal(recovered.view(np.uint64), values.view(np.uint64))
+
+
+_CSV_HEADER = "curve_id,0.333333333333,0.666666666667,1"
+
+# File text after the header, and whether numpy's parser may read it.
+_CSV_EDGE_CASES = {
+    "plain": ("\n0,1.5,-2e3,.25\n1,3,4,5\n", True),
+    "blank lines": ("\n\n0,1.5,-2e3,.25\n\n1,3,4,5\n\n", True),
+    "whitespace-only line": ("\n0,1.5,-2e3,.25\n  \n1,3,4,5\n", False),
+    "CRLF": ("\r\n0,1.5,-2e3,.25\r\n1,3,4,5\r\n", True),
+    "CR only": ("\r0,1.5,-2e3,.25\r1,3,4,5\r", True),
+    "extra field": ("\n0,1.5,-2e3,.25,7\n1,3,4,5\n", False),
+    "extra fields and whitespace-only line":
+        ("\n0,1.5,-2e3,.25,7,8,9\n \n1,3,4,5\n", False),
+    "trailing comma": ("\n0,1.5,-2e3,.25\n1,3,4,5,\n", False),
+    "short row": ("\n0,1.5,-2e3\n1,3,4,5\n", False),
+    "quoted field": ('\n0,"1.5",-2e3,.25\n1,3,4,5\n', False),
+    "underscore": ("\n0,1_0,-2e3,.25\n1,3,4,5\n", False),
+    "non-ASCII digit": ("\n0,\u0661,-2e3,.25\n1,3,4,5\n", False),
+    "comment mark": ("\n0,1.5,-2e3,.25 #\n1,3,4,5\n", False),
+    "empty field": ("\n0,,-2e3,.25\n1,3,4,5\n", False),
+    "non-numeric curve_id": ("\nday one,1.5,-2e3,.25\nx,3,4,5\n", True),
+    "NaN row": ("\n0,1.5,-2e3,.25\n1,nan,4,5\n", False),
+    "unit separator": ("\n0,1.5,-2e3,.25\x1c\n1,3,4,5\n", False),
+}
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path).values.tobytes()
+    except cli._FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("case", sorted(_CSV_EDGE_CASES))
+def test_curves_csv_fast_path_matches_the_row_parser(tmp_path, case, bom):
+    # Same bits, or the same format error with its line number; a BOM
+    # fails the header check either way.
+    body, plain = _CSV_EDGE_CASES[case]
+    path = str(tmp_path / "curves.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(("\ufeff" if bom else "") + _CSV_HEADER + body)
+    outcome = _read_outcome(read_curves_csv, path)
+    assert outcome == _read_outcome(cli._read_curves_rows, path)
+    assert (cli._read_plain_curves(path) is not None) == (plain and not bom)
 
 
 # ---------------------------------------------------------------------------

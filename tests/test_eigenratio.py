@@ -215,7 +215,51 @@ def test_pair_scores_memory_estimate_covers_coincident_curves(
     assert peak <= estimate
     assert scores.squared.shape[0] <= np.count_nonzero(scores.joint_mask) - 55
     assert scores.squared.any(axis=1).all()
-    assert scores.squared.flags.c_contiguous
+    assert scores.squared.flags.f_contiguous
+
+
+@pytest.mark.parametrize("trim", [0.0, 0.02])
+@pytest.mark.parametrize("coincident", [False, True])
+def test_pair_scores_are_component_major(coincident, trim):
+    # Each component is one contiguous column, also after the rows of
+    # coincident curves are packed out of the same buffer.
+    sample, _ = generate(SimulationConfig(n=120, seed=31))
+    values = sample.values.copy()
+    if coincident:
+        values[60:66] = values[0]
+    sample = FunctionalSample(values)
+    system = eigendecompose(pass_covariance(sample), 4)
+    scores = pair_scores(sample, system, 4, trim)
+    assert scores.squared.flags.f_contiguous
+    assert scores.squared.any(axis=1).all()
+    dropped = np.count_nonzero(scores.joint_mask) - scores.squared.shape[0]
+    assert dropped == (21 if coincident else 0)  # 7 equal curves
+
+
+@pytest.mark.parametrize("zero_rows", [0, 2])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mc_results_do_not_depend_on_the_caller_layout(order, zero_rows):
+    # The same values in the caller's layout, with or without all-zero
+    # rows that the constructor must drop without writing to the
+    # caller's array.
+    _, system, scores = _gaussian_fit(n=100, seed=23, trim=0.02)
+    at = [0, 300][:zero_rows]
+    squared = np.asarray(np.insert(scores.squared, at, 0.0, axis=0),
+                         order=order)
+    assert squared.flags.c_contiguous == (order == "C")
+    kept = squared.copy()
+    copied = PairScores(squared, scores.standardizers,
+                        np.insert(scores.joint_mask, at, True))
+    assert copied.squared.flags.f_contiguous
+    assert np.array_equal(squared, kept)
+    assert np.array_equal(copied.squared, scores.squared)
+    base = eigenratio_mc(scores, system.eigenvalues)
+    again = eigenratio_mc(copied, system.eigenvalues)
+    assert np.array_equal(again.ratios, base.ratios)
+    assert again.iterations == base.iterations
+    x_star = base.ratios[1:]
+    assert np.array_equal(convergence_condition(copied, x_star).margin,
+                          convergence_condition(scores, x_star).margin)
 
 
 def test_pair_scores_validation():

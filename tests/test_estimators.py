@@ -365,6 +365,27 @@ def test_eigendecompose_output_conventions():
             assert abs(ip) < 1e-8
 
 
+@pytest.mark.parametrize("n_points, q", [(2, 2), (6, 1), (6, 6), (40, 4),
+                                         (40, 40), (101, 4)])
+def test_eigendecompose_matches_full_eigh(n_points, q):
+    # The top-q subset solver against numpy's full eigh on random
+    # symmetric matrices, under the same ordering, sign rule and scaling.
+    rng = np.random.default_rng(1000 + 10 * n_points + q)
+    a = rng.standard_normal((n_points, n_points))
+    matrix = (a + a.T) / 2.0
+    system = eigendecompose(CovarianceSurface(matrix), q)
+    evals, evecs = np.linalg.eigh(matrix)
+    evals, evecs = evals[::-1][:q], evecs[:, ::-1][:, :q]
+    peaks = np.argmax(np.abs(evecs), axis=0)
+    evecs = evecs * np.sign(evecs[peaks, np.arange(q)])
+    spacing = 1.0 / n_points
+    np.testing.assert_allclose(system.eigenvalues, evals * spacing,
+                               rtol=0, atol=1e-12 * np.abs(evals).max())
+    np.testing.assert_allclose(system.eigenfunctions,
+                               evecs * np.sqrt(n_points), rtol=0,
+                               atol=1e-10)
+
+
 def test_eigendecompose_rejects_bad_inputs():
     asym = np.eye(6)
     asym[0, 5] = 1.0
