@@ -132,6 +132,13 @@ def _read_plain_curves(path: str) -> Optional[np.ndarray]:
     return values
 
 
+def _number(field: str) -> float:
+    """A CSV number: ``float`` syntax in ASCII, without ``_`` separators."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
+
+
 def _grid_size(path: str, header: list[str]) -> int:
     """Number of grid points named by a curves header."""
     if len(header) < 3 or header[0] != "curve_id":
@@ -141,7 +148,7 @@ def _grid_size(path: str, header: list[str]) -> int:
     n_points = len(header) - 1
     grid = make_grid(n_points)
     try:
-        header_points = np.array([float(h) for h in header[1:]])
+        header_points = np.array([_number(h) for h in header[1:]])
     except ValueError as exc:
         raise _FormatError(
             f"{path}:1: grid column names must be numeric: {exc}"
@@ -155,31 +162,43 @@ def _grid_size(path: str, header: list[str]) -> int:
 
 def _read_curves_rows(path: str) -> FunctionalSample:
     """Read a curves CSV row by row with ``csv.reader``."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise _FormatError(f"{path}: empty file") from None
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        line_no = len((raw[:exc.start] + b".").splitlines())
+        raise _FormatError(
+            f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    line_nos = []
+    # The line a record starts on: the line after the last one read.
+    line_no = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise _FormatError(f"{path}: empty file")
         n_points = _grid_size(path, header)
-        rows = []
-        line_nos = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != n_points + 1:
-                raise _FormatError(
-                    f"{path}:{line_no}: expected {n_points + 1} fields, "
-                    f"got {len(record)}")
-            try:
-                rows.append([float(v) for v in record[1:]])
-            except ValueError as exc:
-                raise _FormatError(
-                    f"{path}:{line_no}: non-numeric curve value: {exc}"
-                ) from None
-            line_nos.append(line_no)
-        if not rows:
-            raise _FormatError(f"{path}: no curve rows found")
+        line_no = reader.line_num + 1
+        for record in reader:
+            if record:
+                if len(record) != n_points + 1:
+                    raise _FormatError(
+                        f"{path}:{line_no}: expected {n_points + 1} fields, "
+                        f"got {len(record)}")
+                try:
+                    rows.append([_number(v) for v in record[1:]])
+                except ValueError as exc:
+                    raise _FormatError(
+                        f"{path}:{line_no}: non-numeric curve value: {exc}"
+                    ) from None
+                line_nos.append(line_no)
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise _FormatError(f"{path}:{line_no}: malformed CSV: {exc}") from None
+    if not rows:
+        raise _FormatError(f"{path}: no curve rows found")
     values = np.array(rows)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

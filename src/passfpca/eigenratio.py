@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateSampleError,
@@ -204,6 +204,40 @@ def _trim_largest(magnitudes: np.ndarray, n_trim: int,
     retained[ties[ties.size - (n_trim - np.count_nonzero(above)):]] = False
 
 
+# Rows whose pairs are filled by one gather rather than a slice each.
+_TAIL_ROWS = 256
+
+
+@lru_cache(maxsize=8)
+def _tail_columns(size: int) -> np.ndarray:
+    """Second members ``j`` of the pairs ``i < j`` of ``size`` rows, in
+    row-major order; cached, since a sample size recurs across calls."""
+    columns = np.triu_indices(size, 1)[1]
+    columns.flags.writeable = False
+    return columns
+
+
+def _pair_sq_diffs(column: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with ``(column[i] - column[j])**2`` over pairs
+    ``i < j`` in row-major order, bitwise as
+    ``pdist(column[:, None], "sqeuclidean")``.
+
+    Each early row's pairs are one slice; the pairs among the last
+    ``min(n, 256)`` rows are one gather, where a slice each would cost
+    more in calls than in work.
+    """
+    n = column.size
+    head = n - min(n, _TAIL_ROWS)
+    pos = 0
+    for i in range(head):
+        np.subtract(column[i], column[i + 1:], out=out[pos:pos + n - 1 - i])
+        pos += n - 1 - i
+    tail = column[head:]
+    np.subtract(np.repeat(tail, np.arange(tail.size - 1, -1, -1)),
+                tail.take(_tail_columns(tail.size)), out=out[pos:])
+    np.square(out, out=out)
+
+
 def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
                 q: int, trim_fraction: float = 0.02) -> PairScores:
     """Project all pairwise curve differences onto the leading
@@ -215,10 +249,10 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     normalization under heavy-tailed scores.
 
     The build runs in two passes over the components, each filling one
-    ``P``-long buffer with a component's squared pair projections from
-    the ``n x q`` curve projections (``scipy.spatial.distance.pdist``):
-    the first trims it and takes its standardizer, the second writes
-    its jointly retained scores into their column of the result.
+    ``P``-long buffer with a component's squared pair projections, the
+    squared differences of the curves' projections on it: the first
+    trims it and takes its standardizer, the second writes its jointly
+    retained scores into their column of the result.
 
     Parameters
     ----------
@@ -259,13 +293,16 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     # Pass 1 holds a P-long buffer, its partition copy and two masks, 18
     # bytes a pair; pass 2 and the solver hold the M x q scores, the
     # buffer or its M-long successors and the joint mask, 8q + 17.
-    _check_memory(n_pairs * (8 * q + 18),
+    # Each fill's gather takes 24 bytes for each pair among the last
+    # min(n, 256) rows.
+    n_tail = min(n, _TAIL_ROWS)
+    _check_memory(n_pairs * (8 * q + 18) + 12 * n_tail * (n_tail - 1),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
     # squares cannot overflow; the scores are ratios and do not change.
     values, exponent = _unit_scale(sample.values)
-    curve_proj = sample.grid.spacing * (
-        values @ eigensystem.eigenfunctions[:, :q])
+    curve_proj = np.ascontiguousarray((sample.grid.spacing * (
+        values @ eigensystem.eigenfunctions[:, :q])).T)
     del values
     # Each pass fills `row` with one component's squared projections,
     # pairs i < j in row-major order.  Squaring is strictly increasing on
@@ -274,7 +311,7 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     joint_mask = np.ones(n_pairs, dtype=bool)
     standardizers = np.empty(q)
     for col in range(q):
-        pdist(curve_proj[:, col:col + 1], "sqeuclidean", out=row)
+        _pair_sq_diffs(curve_proj[col], row)
         retained = np.ones(n_pairs, dtype=bool)
         if n_trim > 0:
             _trim_largest(row, n_trim, retained)
@@ -290,7 +327,7 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     # contiguous block.
     squared = np.empty((np.count_nonzero(joint_mask), q), order="F")
     for col in range(q):
-        pdist(curve_proj[:, col:col + 1], "sqeuclidean", out=row)
+        _pair_sq_diffs(curve_proj[col], row)
         np.divide(row[joint_mask], standardizers[col], out=squared[:, col])
     del row
     # Beyond the float range a standardizer reads inf on the input scale.

@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     AsymmetrySurfaceError,
@@ -60,7 +59,8 @@ _DEGENERATE_REL_TOL = 1e-12
 # factor at 1e3.
 _CLOSE_REL_TOL = 1e-3
 
-# Scratch bytes for one block of weight rows or one chunk of close pairs.
+# Scratch bytes for one block of weight rows, or for one chunk of band
+# pairs with its gathered rows and differences.
 _BLOCK_BYTES = 1 << 22
 
 # Absolute symmetry tolerance for covariance surfaces.
@@ -246,68 +246,90 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     the row sums of ``W``.  It is evaluated as ``(D - W) X`` and then
     ``X^T [(D - W) X]``, two matrix products costing ``O(n^2 N + n N^2)``
     in all instead of ``n^2 / 2`` outer products at ``O(N^2)`` each.  The
-    squared pair norms come from exact differences, never from the Gram
-    matrix.  The Laplacian annihilates constants, so the rows of ``X``
-    are first centred at the coordinatewise median, which keeps the bulk
-    curves' norms small even when outliers shift the mean.  The form
-    still cancels for a pair that is close next to its curves' norms, by
-    a factor of about ``(||x_j||^2 + ||x_k||^2) / ||d||^2``: a pair with
-    ``||d||^2 <= 1e-3 (||x_j||^2 + ||x_k||^2)`` (centred norms) is left
-    out of ``W``, and its term ``d d^T / ||d||^2`` is added directly, a
-    bounded chunk of pairs at a time.  The result agrees with the
-    literal per-pair average to rounding.
+    Laplacian annihilates constants, so the rows of ``X`` are first
+    centred at the coordinatewise median, which keeps the bulk curves'
+    norms small even when outliers shift the mean.  The squared pair
+    norms come from the Gram matrix of the centred curves,
+    ``r_j + r_k - 2 <x_j, x_k>`` with ``r_j = ||x_j||^2``, one matrix
+    product; their rounding error is about ``eps (r_j + r_k)``.  Pairs in
+    the band where that error could decide a cut, a Gram norm at or below
+    ``4e-3 (r_j + r_k)`` or ``4e-12`` times the largest pair norm, get
+    their norms from exact differences instead, so both cuts below read
+    exact norms.  The Laplacian form also cancels for a pair that is
+    close next to its curves' norms, by a factor of about
+    ``(r_j + r_k) / ||d||^2``: a pair with ``||d||^2 <= 1e-3 (r_j + r_k)``
+    is left out of ``W``, and its term ``d d^T / ||d||^2`` is added
+    directly from the same exact differences, a bounded chunk of pairs at
+    a time.  The result agrees with the literal per-pair average to
+    rounding.
     """
     n = sample.n
     if n < 2:
         raise InsufficientSampleError(
             f"pairwise covariance needs at least 2 curves, got {n}")
-    # The n x n weights plus the condensed squared norms they come from.
-    _check_memory(8 * n * n + 4 * n * (n - 1),
-                  f"the pair weights of {n} curves")
+    # The n x n squared pair norms, turned into the weights in place; at
+    # most five n x N arrays at the Laplacian product; a block's scratch.
+    _check_memory(8 * n * n + 40 * n * sample.grid.n_points
+                  + 3 * _BLOCK_BYTES, f"the pair weights of {n} curves")
     # PASS is scale-invariant, so the exact rescale changes nothing.
     values, _ = _unit_scale(sample.values)
     spacing = sample.grid.spacing
     n_points = sample.grid.n_points
-    condensed = pdist(values, "sqeuclidean")
-    condensed *= spacing
-    sq_norms = squareform(condensed)
-    del condensed
-    max_norm = sq_norms.max()
+    centred = values - np.median(values, axis=0)
+    radii = spacing * np.einsum("ij,ij->i", centred, centred)
+    rows_per_block = max(1, _BLOCK_BYTES // (8 * n))
+    blocks = [slice(start, min(start + rows_per_block, n))
+              for start in range(0, n, rows_per_block)]
+    # Squared pair norms from the Gram matrix, block of rows by block of
+    # rows; the diagonal is zero by definition.
+    sq_norms = centred @ centred.T
+    max_norm = 0.0
+    for rows in blocks:
+        block = sq_norms[rows]
+        block *= -2.0 * spacing
+        block += radii[rows, None]
+        block += radii
+        np.fill_diagonal(block[:, rows], 0.0)
+        max_norm = max(max_norm, float(block.max()))
     if max_norm <= 0.0:
         raise DegenerateSampleError(
             "all curve pairs are coincident; the pairwise covariance is "
             "undefined")
     threshold = _DEGENERATE_REL_TOL * max_norm
-    centred = values - np.median(values, axis=0)
-    radii = spacing * np.einsum("ij,ij->i", centred, centred)
-    # Turn sq_norms, block of rows by block of rows, into the symmetric
-    # weights of the pairs the Laplacian sums, and add the close pairs'
-    # terms directly.
+    # Turn sq_norms, block by block, into the symmetric weights of the far
+    # pairs the Laplacian sums, after giving the band its exact norms and
+    # adding the close pairs' terms directly.
     weights = sq_norms
     close_acc = np.zeros((n_points, n_points))
-    retained = 0
-    rows_per_block = max(1, _BLOCK_BYTES // (8 * n))
-    pairs_per_chunk = max(1, _BLOCK_BYTES // (8 * n_points))
-    for start in range(0, n, rows_per_block):
-        rows = slice(start, min(start + rows_per_block, n))
+    n_far = n_close = 0
+    pairs_per_chunk = max(1, _BLOCK_BYTES // (24 * n_points))
+    for rows in blocks:
         block = sq_norms[rows]
-        keep = block > threshold
-        close = keep & (block <= _CLOSE_REL_TOL
-                        * (radii[rows, None] + radii))
-        retained += int(np.count_nonzero(keep))
-        # Each close pair once, from its upper-triangle cell (j > i).
-        first, second = np.nonzero(np.triu(close, start + 1))
-        first += start
+        # A pair is far above both cuts, and in the band within 4x of one.
+        cut = _CLOSE_REL_TOL * (radii[rows, None] + radii)
+        np.maximum(cut, threshold, out=cut)
+        first, second = np.nonzero(block <= 4.0 * cut)
+        first += rows.start
+        # Each band pair once, from its upper-triangle cell (j > i).
+        upper = second > first
+        first, second = first[upper], second[upper]
         for lo in range(0, first.size, pairs_per_chunk):
             i = first[lo:lo + pairs_per_chunk]
             j = second[lo:lo + pairs_per_chunk]
             diff = values[i] - values[j]
-            close_acc += (diff / sq_norms[i, j][:, None]).T @ diff
-        far = keep & ~close
-        np.divide(1.0, block, out=block, where=far)
-        block[~far] = 0.0
-    # Each retained pair was counted from both of its rows.
-    retained //= 2
+            exact = spacing * np.einsum("ij,ij->i", diff, diff)
+            sq_norms[i, j] = sq_norms[j, i] = exact
+            close = ((exact > threshold)
+                     & (exact <= _CLOSE_REL_TOL * (radii[i] + radii[j])))
+            n_close += int(np.count_nonzero(close))
+            diff = diff[close]
+            close_acc += (diff / exact[close][:, None]).T @ diff
+        far = block > cut
+        n_far += int(np.count_nonzero(far))
+        np.reciprocal(block, out=block, where=far)
+        block *= far
+    # Each far pair was counted from both of its rows.
+    retained = n_far // 2 + n_close
     # (D - W) X first, so each row's cancellation happens in one vector.
     laplacian_x = weights.sum(axis=1)[:, None] * centred - weights @ centred
     acc = centred.T @ laplacian_x

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .errors import DimensionMismatchError
 from .grid import FunctionalSample, Grid, make_grid
@@ -40,8 +39,8 @@ OUTLIER_SCHEMES = ("none", "ol1", "ol2")
 _EIGENVALUES = np.array([2.0, 1.0, 0.5, 0.25])
 
 # Frechet(shape=3, scale=2) moments used to standardize its draws.
-_FRECHET_MEAN = 2.0 * _gamma_fn(2.0 / 3.0)
-_FRECHET_VAR = 4.0 * (_gamma_fn(1.0 / 3.0) - _gamma_fn(2.0 / 3.0) ** 2)
+_FRECHET_MEAN = 2.0 * math.gamma(2.0 / 3.0)
+_FRECHET_VAR = 4.0 * (math.gamma(1.0 / 3.0) - math.gamma(2.0 / 3.0) ** 2)
 
 # Log-normal with log-scale 2 moments.
 _LOGNORMAL_MEAN = math.exp(2.0)

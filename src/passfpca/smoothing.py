@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import eigh
 
 from .errors import (BasisSizeError, DimensionMismatchError,
@@ -129,15 +128,42 @@ def presmooth(sample: FunctionalSample, penalty: Optional[float] = None,
     return FunctionalSample(smoothed)
 
 
+def _bspline_basis(points: np.ndarray, basis_size: int) -> np.ndarray:
+    """Design matrix of the ``basis_size`` cubic B-splines on clamped,
+    equally spaced knots over [0, 1], at ``points`` in [0, 1].
+
+    Each row holds the four splines that are nonzero at its point, from
+    the Cox-de Boor recursion; the right end belongs to the last knot
+    interval.
+    """
+    degree = 3
+    inner = np.linspace(0.0, 1.0, basis_size - degree + 1)
+    knots = np.concatenate([np.zeros(degree), inner, np.ones(degree)])
+    # Knot interval knots[l] <= x < knots[l + 1] of each point.
+    interval = np.clip(np.searchsorted(knots, points, side="right") - 1,
+                       degree, basis_size - 1)
+    values = np.zeros((points.size, degree + 1))
+    values[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        previous = values[:, :j].copy()
+        values[:, 0] = 0.0
+        for i in range(j):
+            right = knots[interval + i + 1]
+            left = knots[interval + i + 1 - j]
+            ratio = previous[:, i] / (right - left)
+            values[:, i] += ratio * (right - points)
+            values[:, i + 1] = ratio * (points - left)
+    basis = np.zeros((points.size, basis_size))
+    columns = interval[:, None] - degree + np.arange(degree + 1)
+    basis[np.arange(points.size)[:, None], columns] = values
+    return basis
+
+
 class _SurfaceSmoother:
     """Precomputed tensor-spline operators for one (grid, basis) pair."""
 
     def __init__(self, points: np.ndarray, basis_size: int):
-        degree = 3
-        inner = np.linspace(0.0, 1.0, basis_size - degree + 1)
-        knots = np.concatenate([np.zeros(degree), inner, np.ones(degree)])
-        basis = BSpline.design_matrix(points, knots, degree,
-                                      extrapolate=False).toarray()
+        basis = _bspline_basis(points, basis_size)
         n_points, m = basis.shape
         btb = basis.T @ basis
         # Normal matrix over off-diagonal cells: the full tensor product

@@ -165,6 +165,30 @@ def test_curves_csv_fast_path_matches_the_row_parser(tmp_path, case, bom):
     assert (cli._read_plain_curves(path) is not None) == (plain and not bom)
 
 
+# Malformed files the row parser reads, and the line of the error.
+_MALFORMED_CURVES = {
+    # An unbalanced quote runs on past csv's 131,072-character field limit.
+    "field over the csv limit":
+        (('\n0,1,2,3\n1,"2,3,4\n' + "2,3,4,5\n" * 20_000).encode(), 3),
+    "byte that is not UTF-8": (b"\r0,1,2,3\r1,2,\xff,4\r", 3),
+    "underscore in a number": (b"\n0,1,2,3\n1,1_0,3,4\n", 3),
+    "non-ASCII digit": ("\n0,1,2,3\n\n1,\u0661,3,4\n".encode(), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CURVES))
+def test_malformed_curves_file_is_a_format_error(tmp_path, capsys, case):
+    # Exit 4 with path:line, as for any malformed CSV, not a traceback.
+    body, line = _MALFORMED_CURVES[case]
+    path = tmp_path / "curves.csv"
+    path.write_bytes(_CSV_HEADER.encode() + body)
+    code = _run("fit", "--input", str(path), "--result",
+                str(tmp_path / "fit.json"), "--eigenfunctions",
+                str(tmp_path / "ef.csv"))
+    assert code == EXIT_FORMAT
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial.distance import pdist
 
 from passfpca import (
     DegenerateSampleError,
@@ -154,6 +155,19 @@ def test_pair_scores_trim_matches_stable_sort_on_ties(
     except DegenerateSampleError:
         return
     _assert_matches_reference(scores, sample, basis, trim_fraction)
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 600, 2000])
+def test_pair_differences_are_bitwise_pdist(n):
+    # Slices for the early rows, one gather for the last 256: the same
+    # bits as scipy's condensed squared distances, pair for pair.
+    rng = np.random.default_rng(n)
+    column = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
+    column[n // 2:n // 2 + 2] = column[0]
+    out = np.empty(n * (n - 1) // 2)
+    eigenratio._pair_sq_diffs(column, out)
+    expected = pdist(column[:, None], "sqeuclidean")
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 def test_pair_scores_fails_fast_on_huge_samples(monkeypatch):

@@ -264,8 +264,120 @@ def test_pass_covariance_matches_literal_pair_loop(
     assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 10), n_points=st.integers(3, 20),
+       seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.floats(-1e6, 1e6),
+       log_rel=st.floats(-5.0, -0.5),
+       picks=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+def test_pass_covariance_gram_band_matches_literal_pair_loop(
+        n, n_points, seed, offset, log_rel, picks):
+    # Pairs far from the median whose squared distance is 1e-5 to 0.3 of
+    # their squared norms, on both sides of the close cut (1e-3) and of
+    # the edge of the exact-difference band (4e-3), plus an exact
+    # duplicate, all under a constant offset.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, n_points))
+    far = 10.0 * rng.standard_normal((2, n_points))
+    near = far + np.sqrt(10.0 ** log_rel) * np.linalg.norm(
+        far, axis=1, keepdims=True) * rng.standard_normal((2, n_points)) / (
+        np.sqrt(n_points))
+    values = np.vstack([base, far, near, base[picks[0] % n],
+                        far[picks[1] % 2]]) + offset
+    literal = _literal_pass(values)
+    surface = pass_covariance(_sample(values))
+    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
+def _symmetric_pair_sample(cut, factor, rng):
+    """Curves whose coordinatewise median is exactly zero, holding the pair
+    ``u + d, u - d`` (and its negatives) with squared distance ``factor``
+    times the close cut ``1e-3 (r_a + r_b)`` or the coincidence cut
+    ``1e-12`` times the largest pair norm; returns the curves and the
+    pair's squared distance over the cut, computed from the curves."""
+    n_points = 16
+    spacing = 1.0 / n_points
+    base = rng.standard_normal((3, n_points))
+    big = 20.0 * rng.standard_normal(n_points)
+    u = 2.0 * rng.standard_normal(n_points)
+    w = rng.standard_normal(n_points)
+    if cut == "close":
+        # 4 |d|^2 = c (|u + d|^2 + |u - d|^2) = 2 c (|u|^2 + |d|^2).
+        c = factor * 1e-3
+        d = np.sqrt(2.0 * c * (u @ u) / ((4.0 - 2.0 * c) * (w @ w))) * w
+    else:
+        # The largest pair is (big, -big): 4 |d|^2 = factor 1e-12 4 |big|^2.
+        d = np.sqrt(factor * 1e-12 * (big @ big) / (w @ w)) * w
+    pair = np.array([u + d, u - d])
+    values = np.vstack([np.zeros(n_points), base, -base, big, -big, pair,
+                        -pair])
+    assert not np.median(values, axis=0).any()
+    diff = values[-4] - values[-3]
+    sq = spacing * diff @ diff
+    if cut == "close":
+        radii = spacing * np.sum(values[-4:-2] ** 2)
+        return values, sq / (1e-3 * radii)
+    largest = max(spacing * np.sum((a - b) ** 2)
+                  for a in values for b in values)
+    return values, sq / (1e-12 * largest)
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9])
+@pytest.mark.parametrize("cut", ["close", "coincidence"])
+def test_pass_covariance_at_the_cuts_matches_literal_pair_loop(cut, factor):
+    # A pair a part in 1e9 to either side of each cut: the Gram norms err
+    # by far more than that, so both cuts must read exact norms.
+    values, ratio = _symmetric_pair_sample(cut, factor,
+                                           np.random.default_rng(8))
+    assert (ratio - 1.0) * (factor - 1.0) > 0.0
+    assert abs(ratio - factor) < 1e-10
+    literal = _literal_pass(values)
+    surface = pass_covariance(_sample(values))
+    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
+def test_pass_covariance_exact_duplicates_match_literal_pair_loop():
+    # Repeated curves, some far from the median, are dropped as the
+    # literal loop drops them; the rest enter exactly once.
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((8, 12))
+    base[0] *= 1e3
+    values = base[[0, 0, 0, 1, 2, 2, 3, 4, 5, 6, 7, 7]] + 1e4
+    literal = _literal_pass(values)
+    surface = pass_covariance(_sample(values))
+    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
+def test_pass_covariance_at_1e200_matches_literal_pair_loop():
+    # Scaling does not move the surface, also for curves whose squared
+    # norms would overflow: duplicates, near duplicates and an outlier.
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((9, 10))
+    base[0] *= 1e4
+    values = np.vstack([base, base[3], base[4] + 1e-7 * base[5]])
+    literal = _literal_pass(values)
+    surface = pass_covariance(_sample(values * 1e200))
+    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+
+
+def test_pass_covariance_memory_estimate_covers_the_traced_peak(
+        monkeypatch):
+    sample, _ = generate(SimulationConfig(n=2000, seed=12))
+    estimates = []
+    monkeypatch.setattr(estimators, "_check_memory",
+                        lambda n_bytes, what: estimates.append(n_bytes))
+    tracemalloc.start()
+    try:
+        pass_covariance(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [estimate] = estimates
+    assert peak <= estimate <= 1.25 * peak
+
+
 def test_pass_covariance_fails_fast_on_huge_samples(monkeypatch):
-    # 100,000 curves need about 112 GiB of pair weights; the guard must
+    # 100,000 curves need about 75 GiB of pair weights; the guard must
     # refuse before allocating them.  Physical memory is pinned so the
     # test cannot try the allocation on a machine that has that much.
     monkeypatch.setattr(estimators, "_physical_memory", lambda: 16 * 2 ** 30)

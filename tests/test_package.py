@@ -1,7 +1,10 @@
 """Tests for the package's public namespace."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import passfpca
 
@@ -19,3 +22,20 @@ def test_public_names_are_each_module_name_once():
     for name, modules in owners.items():
         [module] = modules
         assert getattr(passfpca, name) is getattr(module, name)
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # Every CLI call is a fresh interpreter that pays for its imports;
+    # the program needs scipy.linalg alone at run time.
+    src = os.path.dirname(os.path.dirname(passfpca.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, passfpca.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "scipy.linalg" in loaded
+    for module in ("scipy.spatial", "scipy.interpolate", "scipy.special",
+                   "scipy.sparse"):
+        assert module not in loaded

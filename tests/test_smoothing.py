@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.interpolate import BSpline
 
 from passfpca import (
     BasisSizeError,
@@ -174,6 +175,23 @@ def test_smooth_surface_validation():
     for penalty in (-1.0, np.nan):
         with pytest.raises(DimensionMismatchError):
             smooth_surface(surface, penalty=penalty)
+
+
+@pytest.mark.parametrize("basis_size", [4, 15, 30])
+def test_bspline_basis_matches_scipy(basis_size):
+    # The Cox-de Boor design matrix against scipy's on every grid size
+    # from 8 to 401; each row is a partition of unity.
+    degree = 3
+    knots = np.concatenate([np.zeros(degree),
+                            np.linspace(0.0, 1.0, basis_size - degree + 1),
+                            np.ones(degree)])
+    for n_points in range(8, 402):
+        points = make_grid(n_points).points
+        basis = smoothing._bspline_basis(points, basis_size)
+        expected = BSpline.design_matrix(points, knots, degree,
+                                         extrapolate=False).toarray()
+        assert np.max(np.abs(basis - expected)) <= 1e-15
+        assert np.max(np.abs(basis.sum(axis=1) - 1.0)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
