@@ -19,12 +19,12 @@ import io
 import json
 import sys
 from dataclasses import asdict, fields
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 import yaml
 
-from .errors import PassFpcaError
+from .errors import PassFpcaError, is_integer
 from .estimators import EigenSystem
 from .grid import FunctionalSample, make_grid
 from .metrics import config_label, run_benchmark
@@ -54,8 +54,8 @@ class _FormatError(Exception):
     """A file parsed as text but violates the expected schema."""
 
 
-# Bytes of a curves file that numpy's parser may read: printable ASCII
-# other than the quote, and line ends.
+# Bytes a curves file may hold: printable ASCII other than the quote, and
+# line ends.
 _PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != 0x22) + b"\r\n"
 
 
@@ -80,61 +80,72 @@ def write_curves_csv(path: str, sample: FunctionalSample) -> None:
 def read_curves_csv(path: str) -> FunctionalSample:
     """Read a wide-format curves CSV back into a sample.
 
-    numpy's C parser reads the body.  Its values stand only when the
-    file is printable ASCII without quotes, the header passes the row
-    parser's checks, the body holds exactly ``N`` commas per row read
-    and every value is finite; in every other case
-    :func:`_read_curves_rows` reads the file again and returns the same
-    values or raises the error with its line number.
+    The syntax is stated in ``docs/schema.md``: printable ASCII without
+    ``"``, LF, CRLF or CR line ends, blank lines skipped, a header
+    naming the regular grid, then rows of an identifier and ``N`` finite
+    numbers.  numpy's C parser reads the whole body in one call; if it
+    or a check after it rejects the file, :func:`_raise_at_first_bad_line`
+    names the first offending line.
 
     Raises
     ------
     _FormatError
         On any schema violation, with the offending line number.
     """
-    values = _read_plain_curves(path)
-    if values is None:
-        return _read_curves_rows(path)
-    return FunctionalSample(values)
-
-
-def _read_plain_curves(path: str) -> Optional[np.ndarray]:
-    """Curve values by numpy's C parser, or None where it could differ
-    from the row parser.
-
-    Lines of printable ASCII without quotes split on their commas
-    exactly as ``csv.reader`` splits them, and hold no character that
-    numpy strips from a field where ``float`` does not.  ``usecols``
-    ignores extra fields, so the body must hold exactly ``N`` commas per
-    row read; a line of blanks, which the row parser rejects, makes
-    ``loadtxt`` raise.
-    """
     with open(path, "rb") as handle:
         raw = handle.read()
-    if raw.translate(None, _PLAIN_BYTES):
-        return None
-    if b"\r" in raw:  # csv.reader ends a line at \r\n, \r or \n alike
+    if b"\r" in raw:  # one line end for numpy: \r\n, \r and \n alike
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     header_end = raw.find(b"\n")
     n_commas = raw.count(b",", header_end + 1)
-    if header_end < 0 or n_commas == 0:  # no row for loadtxt to read
-        return None
-    try:
+    # With no comma after the header there is no row; loadtxt would warn.
+    if header_end > 0 and n_commas and not raw.translate(None, _PLAIN_BYTES):
         n_points = _grid_size(path, raw[:header_end].decode().split(","))
-        values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1,
-                            usecols=range(1, n_points + 1), comments=None,
-                            ndmin=2)
-    except (_FormatError, ValueError):
-        return None
-    if (n_commas != values.shape[0] * n_points
-            or not np.isfinite(values).all()):
-        return None
-    return values
+        try:
+            values = _load_rows(raw, n_points, skiprows=1)
+        except ValueError:
+            pass
+        else:
+            # usecols ignores extra fields, hence the comma count.
+            if n_commas == values.size and np.isfinite(values).all():
+                return FunctionalSample(values)
+    _raise_at_first_bad_line(path, raw)
+
+
+def _load_rows(raw: bytes, n_points: int, skiprows: int = 0) -> np.ndarray:
+    """The ``N`` values of each nonblank line, by numpy's C parser."""
+    return np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=skiprows,
+                      usecols=range(1, n_points + 1), comments=None, ndmin=2)
+
+
+def _raise_at_first_bad_line(path: str, raw: bytes) -> NoReturn:
+    """Raise the format error of the first line of a curves file (with
+    one line end) that breaks the syntax: its bytes, then the header or
+    its field count, then a value numpy rejects, then a non-finite one."""
+    for line_no, line in enumerate(raw.split(b"\n"), start=1):
+        where = f"{path}:{line_no}"
+        if line.translate(None, _PLAIN_BYTES):
+            raise _FormatError(f"{where}: a quote, control or non-ASCII byte")
+        if line_no == 1:
+            n_points = _grid_size(path, line.decode().split(","))
+        elif line:
+            n_fields = line.count(b",") + 1
+            if n_fields != n_points + 1:
+                raise _FormatError(
+                    f"{where}: expected {n_points + 1} fields, got {n_fields}")
+            try:
+                row = _load_rows(line, n_points)
+            except ValueError:
+                raise _FormatError(
+                    f"{where}: non-numeric curve value") from None
+            if not np.isfinite(row).all():
+                raise _FormatError(f"{where}: curve values must be finite")
+    raise _FormatError(f"{path}: no curve rows found")
 
 
 def _number(field: str) -> float:
-    """A CSV number: ``float`` syntax in ASCII, without ``_`` separators."""
-    if not field.isascii() or "_" in field:
+    """A CSV number: ``float`` syntax without ``_`` separators."""
+    if "_" in field:
         raise ValueError(f"could not convert string to float: {field!r}")
     return float(field)
 
@@ -158,54 +169,6 @@ def _grid_size(path: str, header: list[str]) -> int:
             f"{path}:1: grid columns do not match the regular grid "
             f"t_j = j/{n_points}")
     return n_points
-
-
-def _read_curves_rows(path: str) -> FunctionalSample:
-    """Read a curves CSV row by row with ``csv.reader``."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        text = raw.decode()
-    except UnicodeDecodeError as exc:
-        line_no = len((raw[:exc.start] + b".").splitlines())
-        raise _FormatError(
-            f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = []
-    line_nos = []
-    # The line a record starts on: the line after the last one read.
-    line_no = 1
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise _FormatError(f"{path}: empty file")
-        n_points = _grid_size(path, header)
-        line_no = reader.line_num + 1
-        for record in reader:
-            if record:
-                if len(record) != n_points + 1:
-                    raise _FormatError(
-                        f"{path}:{line_no}: expected {n_points + 1} fields, "
-                        f"got {len(record)}")
-                try:
-                    rows.append([_number(v) for v in record[1:]])
-                except ValueError as exc:
-                    raise _FormatError(
-                        f"{path}:{line_no}: non-numeric curve value: {exc}"
-                    ) from None
-                line_nos.append(line_no)
-            line_no = reader.line_num + 1
-    except csv.Error as exc:
-        raise _FormatError(f"{path}:{line_no}: malformed CSV: {exc}") from None
-    if not rows:
-        raise _FormatError(f"{path}: no curve rows found")
-    values = np.array(rows)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise _FormatError(
-            f"{path}:{line_nos[int(np.argmin(finite))]}: curve values "
-            f"must be finite")
-    return FunctionalSample(values)
 
 
 def write_truth_csv(path: str, truth, grid) -> None:
@@ -368,12 +331,16 @@ def _load_bench_config(path: str) -> dict:
     for key in ("seed", "replications", "methods", "settings"):
         if key not in document:
             raise _FormatError(f"{path}: missing required key {key!r}")
-    if not isinstance(document["seed"], int) or document["seed"] < 0:
+    if not is_integer(document["seed"]) or document["seed"] < 0:
         raise _FormatError(f"{path}: 'seed' must be a nonnegative integer")
-    if not isinstance(document["replications"], int) \
+    if not is_integer(document["replications"]) \
             or document["replications"] < 1:
         raise _FormatError(
             f"{path}: 'replications' must be a positive integer")
+    for key in ("output", "summary"):
+        if key in document and not (isinstance(document[key], str)
+                                    and document[key]):
+            raise _FormatError(f"{path}: {key!r} must be a nonempty string")
     if not isinstance(document["settings"], list) or not document["settings"]:
         raise _FormatError(f"{path}: 'settings' must be a nonempty list")
     for index, setting in enumerate(document["settings"]):

@@ -4,7 +4,8 @@ Every error raised by this package derives from :class:`PassFpcaError`, so
 callers can catch one base class at an API boundary.  Each subclass also
 derives from the matching builtin (``ValueError`` for bad inputs,
 ``RuntimeError`` for iterative procedures that fail to finish) so the types
-behave well in generic code.
+behave well in generic code.  :func:`is_integer` is the type check behind
+the integer-valued options.
 """
 
 from __future__ import annotations
@@ -84,3 +85,9 @@ class ConvergenceError(PassFpcaError, RuntimeError):
         self.last_iterate = last_iterate
         self.iterations = iterations
         self.final_delta = final_delta
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; ``bool`` does not count."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientSampleError,
     PassFpcaError,
+    is_integer,
 )
 from .estimators import (
     CovarianceSurface,
@@ -73,6 +74,10 @@ class SolverOptions:
     basis_size: int = 15
 
     def __post_init__(self):
+        for name in ("q", "max_iter", "basis_size"):
+            if not is_integer(getattr(self, name)):
+                raise DimensionMismatchError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.q < 1:
             raise DimensionMismatchError(f"q must be >= 1, got {self.q}")
         if not 0.0 <= self.trim_fraction <= 0.1:

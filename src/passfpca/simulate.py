@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, is_integer
 from .grid import FunctionalSample, Grid, make_grid
 
 __all__ = [
@@ -80,6 +80,10 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_points", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise DimensionMismatchError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise DimensionMismatchError(f"n must be >= 1, got {self.n}")
         if self.n_points < 2:

@@ -121,48 +121,108 @@ def test_curves_csv_round_trip_is_exact(scratch_csv, data, n, n_points):
 
 _CSV_HEADER = "curve_id,0.333333333333,0.666666666667,1"
 
-# File text after the header, and whether numpy's parser may read it.
+_PLAIN = [[1.5, -2000.0, 0.25], [3.0, 4.0, 5.0]]
+
+# File text after the header, and the values read or the line of the
+# format error.
 _CSV_EDGE_CASES = {
-    "plain": ("\n0,1.5,-2e3,.25\n1,3,4,5\n", True),
-    "blank lines": ("\n\n0,1.5,-2e3,.25\n\n1,3,4,5\n\n", True),
-    "whitespace-only line": ("\n0,1.5,-2e3,.25\n  \n1,3,4,5\n", False),
-    "CRLF": ("\r\n0,1.5,-2e3,.25\r\n1,3,4,5\r\n", True),
-    "CR only": ("\r0,1.5,-2e3,.25\r1,3,4,5\r", True),
-    "extra field": ("\n0,1.5,-2e3,.25,7\n1,3,4,5\n", False),
+    "plain": ("\n0,1.5,-2e3,.25\n1,3,4,5\n", _PLAIN),
+    "blank lines": ("\n\n0,1.5,-2e3,.25\n\n1,3,4,5\n\n", _PLAIN),
+    "whitespace-only line": ("\n0,1.5,-2e3,.25\n  \n1,3,4,5\n", 3),
+    "CRLF": ("\r\n0,1.5,-2e3,.25\r\n1,3,4,5\r\n", _PLAIN),
+    "CR only": ("\r0,1.5,-2e3,.25\r1,3,4,5\r", _PLAIN),
+    "extra field": ("\n0,1.5,-2e3,.25,7\n1,3,4,5\n", 2),
     "extra fields and whitespace-only line":
-        ("\n0,1.5,-2e3,.25,7,8,9\n \n1,3,4,5\n", False),
-    "trailing comma": ("\n0,1.5,-2e3,.25\n1,3,4,5,\n", False),
-    "short row": ("\n0,1.5,-2e3\n1,3,4,5\n", False),
-    "quoted field": ('\n0,"1.5",-2e3,.25\n1,3,4,5\n', False),
-    "underscore": ("\n0,1_0,-2e3,.25\n1,3,4,5\n", False),
-    "non-ASCII digit": ("\n0,\u0661,-2e3,.25\n1,3,4,5\n", False),
-    "comment mark": ("\n0,1.5,-2e3,.25 #\n1,3,4,5\n", False),
-    "empty field": ("\n0,,-2e3,.25\n1,3,4,5\n", False),
-    "non-numeric curve_id": ("\nday one,1.5,-2e3,.25\nx,3,4,5\n", True),
-    "NaN row": ("\n0,1.5,-2e3,.25\n1,nan,4,5\n", False),
-    "unit separator": ("\n0,1.5,-2e3,.25\x1c\n1,3,4,5\n", False),
+        ("\n0,1.5,-2e3,.25,7,8,9\n \n1,3,4,5\n", 2),
+    "trailing comma": ("\n0,1.5,-2e3,.25\n1,3,4,5,\n", 3),
+    "short row": ("\n0,1.5,-2e3\n1,3,4,5\n", 2),
+    "quoted field": ('\n0,"1.5",-2e3,.25\n1,3,4,5\n', 2),
+    "underscore": ("\n0,1_0,-2e3,.25\n1,3,4,5\n", 2),
+    "non-ASCII digit": ("\n0,\u0661,-2e3,.25\n1,3,4,5\n", 2),
+    "comment mark": ("\n0,1.5,-2e3,.25 #\n1,3,4,5\n", 2),
+    "empty field": ("\n0,,-2e3,.25\n1,3,4,5\n", 2),
+    "non-numeric curve_id": ("\nday one,1.5,-2e3,.25\nx,3,4,5\n", _PLAIN),
+    "NaN row": ("\n0,1.5,-2e3,.25\n1,nan,4,5\n", 3),
+    "unit separator": ("\n0,1.5,-2e3,.25\x1c\n1,3,4,5\n", 2),
 }
 
+_ACCEPTED_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
-def _read_outcome(read, path):
+
+def _row_parser(raw):
+    """The syntax of docs/schema.md, line by line: the rows of a curves
+    file with the header ``_CSV_HEADER``, else the number of its first
+    bad line (None when no line is bad but there is no row)."""
+    lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    if lines[0] != _CSV_HEADER.encode():
+        return 1
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(b",")[1:]
+        if (line.translate(None, _ACCEPTED_BYTES) or len(fields) != 3
+                or any(b"_" in field for field in fields)):
+            return line_no
+        try:
+            rows.append([float(field) for field in fields])
+        except ValueError:
+            return line_no
+        if not np.isfinite(rows[-1]).all():
+            return line_no
+    return rows or None
+
+
+def _check_read(path, expected):
+    """``read_curves_csv`` gives the expected rows bit for bit, or the
+    format error at the expected line."""
     try:
-        return read(path).values.tobytes()
+        values = read_curves_csv(path).values
     except cli._FormatError as exc:
-        return str(exc)
+        where = path if expected is None else f"{path}:{expected}"
+        assert str(exc).startswith(f"{where}: ")
+    else:
+        assert isinstance(expected, list)
+        assert values.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("bom", [False, True])
 @pytest.mark.parametrize("case", sorted(_CSV_EDGE_CASES))
 def test_curves_csv_fast_path_matches_the_row_parser(tmp_path, case, bom):
-    # Same bits, or the same format error with its line number; a BOM
-    # fails the header check either way.
-    body, plain = _CSV_EDGE_CASES[case]
-    path = str(tmp_path / "curves.csv")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(("\ufeff" if bom else "") + _CSV_HEADER + body)
-    outcome = _read_outcome(read_curves_csv, path)
-    assert outcome == _read_outcome(cli._read_curves_rows, path)
-    assert (cli._read_plain_curves(path) is not None) == (plain and not bom)
+    # The values or the path:line of the table, and the same from the
+    # line-by-line reference; a BOM fails the header's byte check.
+    body, expected = _CSV_EDGE_CASES[case]
+    raw = ("\ufeff" if bom else "").encode() + (_CSV_HEADER + body).encode()
+    path = tmp_path / "curves.csv"
+    path.write_bytes(raw)
+    assert _row_parser(raw) == (1 if bom else expected)
+    _check_read(str(path), 1 if bom else expected)
+
+
+_NUMBER_CHARS = "0123456789.e+- \t\"_#naif\xff"
+_VALUE = st.one_of(
+    st.sampled_from(["1", "-2.5e3", ".25", "+0", "-0.0", " 7 ", "5.", "1E-3"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_FIELD = st.one_of(_VALUE, st.text(_NUMBER_CHARS, max_size=5))
+_LINE = st.one_of(
+    st.lists(_VALUE, min_size=3, max_size=3).map(
+        lambda v: ",".join(["0", *v])),
+    st.lists(_FIELD, min_size=2, max_size=5).map(",".join),
+    st.text(_NUMBER_CHARS + ",\r", max_size=12))
+_BODY = st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r", "\r\n"])),
+                 max_size=5)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(lines=_BODY)
+def test_curves_csv_reader_agrees_with_the_row_parser(scratch_csv, lines):
+    # Over fuzzed bodies the reader returns the reference's values bit for
+    # bit or its path:line format error, and raises nothing else.
+    raw = (_CSV_HEADER + "\n" + "".join(a + b for a, b in lines)).encode(
+        "latin-1")
+    with open(scratch_csv, "wb") as handle:
+        handle.write(raw)
+    _check_read(scratch_csv, _row_parser(raw))
 
 
 # Malformed files the row parser reads, and the line of the error.
@@ -421,6 +481,31 @@ summary: summary.json
         row = list(csv.reader(handle))[1]
     assert row[2] == row[3] == row[4] == ""
     assert row[5] == row[6] == "2"
+
+
+@pytest.mark.parametrize("entry", [
+    "seed: true", "seed: 1.0", "replications: true", "replications: 1.5",
+    "output: true", "output: ''", "summary: 7", "summary: null",
+    "settings: [{n: 20.5}]", "settings: [{n: true}]", "settings: [{n: 20.0}]",
+    "settings: [{n: 10, n_points: 20.0}]", "solver: {q: 2.5}",
+    "solver: {max_iter: true}", "solver: {basis_size: 6.0}",
+])
+def test_bench_value_of_the_wrong_type_is_format_error(
+        tmp_path, monkeypatch, capsys, entry):
+    # A YAML boolean or float where the schema asks for an integer, or a
+    # path that is not a nonempty string, is exit 4 before anything runs.
+    monkeypatch.chdir(tmp_path)
+    document = {"seed": "1", "replications": "1", "methods": "[classical]",
+                "settings": "[{n: 10}]"}
+    key, value = entry.split(": ", 1)
+    document[key] = value
+    config = _write_bench_config(tmp_path, "".join(
+        f"{k}: {v}\n" for k, v in document.items()))
+    assert _run("bench", "--config", str(config)) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(config) in captured.err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_bundled_benchmark_config_loads():
