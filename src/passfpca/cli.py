@@ -316,7 +316,9 @@ _TOP_KEYS = {"seed", "replications", "methods", "settings", "solver",
 
 
 def _load_bench_config(path: str) -> dict:
-    with open(path) as handle:
+    # Bytes, so PyYAML's reader decodes them and reports a byte that is
+    # not UTF-8 as a YAMLError.
+    with open(path, "rb") as handle:
         try:
             document = yaml.safe_load(handle)
         except yaml.YAMLError as exc:

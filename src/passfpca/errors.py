@@ -4,8 +4,8 @@ Every error raised by this package derives from :class:`PassFpcaError`, so
 callers can catch one base class at an API boundary.  Each subclass also
 derives from the matching builtin (``ValueError`` for bad inputs,
 ``RuntimeError`` for iterative procedures that fail to finish) so the types
-behave well in generic code.  :func:`is_integer` is the type check behind
-the integer-valued options.
+behave well in generic code.  :func:`is_integer` and :func:`is_real` are
+the type checks behind the integer- and real-valued options.
 """
 
 from __future__ import annotations
@@ -90,4 +90,11 @@ class ConvergenceError(PassFpcaError, RuntimeError):
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; ``bool`` does not count."""
     return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
+def is_real(value) -> bool:
+    """True for a Python or numpy integer or float; ``bool`` does not
+    count."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     AsymmetrySurfaceError,
@@ -361,11 +360,10 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
     if not 1 <= q <= n_points:
         raise DimensionMismatchError(
             f"q must be between 1 and {n_points}, got {q}")
-    # Only the top q eigenpairs, in ascending order.
-    evals, evecs = eigh(surface.matrix,
-                        subset_by_index=[n_points - q, n_points - 1])
-    evals = evals[::-1] * grid.spacing
-    evecs = evecs[:, ::-1] * np.sqrt(n_points)
+    # All N eigenpairs in ascending order; keep the last q, largest first.
+    evals, evecs = np.linalg.eigh(surface.matrix)
+    evals = evals[::-1][:q] * grid.spacing
+    evecs = evecs[:, ::-1][:, :q] * np.sqrt(n_points)
     for col in range(q):
         peak = np.argmax(np.abs(evecs[:, col]))
         if evecs[peak, col] < 0:

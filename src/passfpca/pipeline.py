@@ -33,6 +33,7 @@ from .errors import (
     InsufficientSampleError,
     PassFpcaError,
     is_integer,
+    is_real,
 )
 from .estimators import (
     CovarianceSurface,
@@ -78,6 +79,10 @@ class SolverOptions:
             if not is_integer(getattr(self, name)):
                 raise DimensionMismatchError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("trim_fraction", "tol"):
+            if not is_real(getattr(self, name)):
+                raise DimensionMismatchError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         if self.q < 1:
             raise DimensionMismatchError(f"q must be >= 1, got {self.q}")
         if not 0.0 <= self.trim_fraction <= 0.1:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, is_integer
+from .errors import DimensionMismatchError, is_integer, is_real
 from .grid import FunctionalSample, Grid, make_grid
 
 __all__ = [
@@ -84,6 +84,10 @@ class SimulationConfig:
             if not is_integer(getattr(self, name)):
                 raise DimensionMismatchError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("outlier_fraction", "noise_sd"):
+            if not is_real(getattr(self, name)):
+                raise DimensionMismatchError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         if self.n < 1:
             raise DimensionMismatchError(f"n must be >= 1, got {self.n}")
         if self.n_points < 2:
@@ -101,9 +105,10 @@ class SimulationConfig:
             raise DimensionMismatchError(
                 f"outlier_fraction must be in [0, 0.5), got "
                 f"{self.outlier_fraction}")
-        if self.noise_sd < 0.0:
+        if not 0.0 <= self.noise_sd < math.inf:
             raise DimensionMismatchError(
-                f"noise_sd must be nonnegative, got {self.noise_sd}")
+                f"noise_sd must be finite and nonnegative, got "
+                f"{self.noise_sd}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise DimensionMismatchError(
                 f"seed must be a nonnegative 64-bit integer, got {self.seed}")

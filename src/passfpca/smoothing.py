@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (BasisSizeError, DimensionMismatchError,
                      InsufficientSampleError)
@@ -178,14 +177,19 @@ class _SurfaceSmoother:
         penalty = (np.kron(marginal_penalty, np.eye(m))
                    + np.kron(np.eye(m), marginal_penalty))
         # xtx is a Gram matrix, so positive semidefinite; the small ridge
-        # makes it definite, as the generalized eigensolver requires, even
-        # for basis sizes close to the grid size.  The solver returns T
-        # with T' (xtx + ridge) T = I and T' penalty T = diag(eigs), which
-        # makes the penalized fit diagonal in u = T' X'y.  The fit reads T
-        # only through T diag(d) T' and sums of d-weighted u**2, which are
-        # the same for any signs of the eigenvectors and any basis within
-        # a repeated eigenvalue.
-        eigs, transform = eigh(penalty, xtx + 1e-10 * np.eye(m * m))
+        # makes it definite, as the Cholesky factor L requires, even for
+        # basis sizes close to the grid size.  The generalized problem
+        # reduces as in LAPACK's dsygvd: with V the eigenvectors of
+        # L^-1 penalty L^-T, T = L^-T V has T' (xtx + ridge) T = I and
+        # T' penalty T = diag(eigs), which makes the penalized fit
+        # diagonal in u = T' X'y.  The fit reads T only through
+        # T diag(d) T' and sums of d-weighted u**2, which are the same for
+        # any signs of the eigenvectors and any basis within a repeated
+        # eigenvalue.
+        xtx[np.diag_indices(m * m)] += 1e-10
+        inv_factor = np.linalg.inv(np.linalg.cholesky(xtx))
+        eigs, vecs = np.linalg.eigh(inv_factor @ penalty @ inv_factor.T)
+        transform = inv_factor.T @ vecs
         self.basis = basis
         self.m = m
         self.n_cells = n_points * n_points - n_points

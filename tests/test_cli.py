@@ -489,11 +489,18 @@ summary: summary.json
     "settings: [{n: 20.5}]", "settings: [{n: true}]", "settings: [{n: 20.0}]",
     "settings: [{n: 10, n_points: 20.0}]", "solver: {q: 2.5}",
     "solver: {max_iter: true}", "solver: {basis_size: 6.0}",
+    "settings: [{n: 10, noise_sd: true}]",
+    "settings: [{n: 10, outlier_fraction: false}]",
+    "settings: [{n: 10, noise_sd: .nan}]",
+    "settings: [{n: 10, noise_sd: .inf}]",
+    "solver: {tol: true}", "solver: {trim_fraction: false}",
 ])
 def test_bench_value_of_the_wrong_type_is_format_error(
         tmp_path, monkeypatch, capsys, entry):
-    # A YAML boolean or float where the schema asks for an integer, or a
-    # path that is not a nonempty string, is exit 4 before anything runs.
+    # A YAML boolean or float where the schema asks for an integer, a
+    # boolean where it asks for a number, a noise level that is not
+    # finite, or a path that is not a nonempty string, is exit 4 before
+    # anything runs.
     monkeypatch.chdir(tmp_path)
     document = {"seed": "1", "replications": "1", "methods": "[classical]",
                 "settings": "[{n: 10}]"}
@@ -506,6 +513,14 @@ def test_bench_value_of_the_wrong_type_is_format_error(
     assert captured.out == ""
     assert str(config) in captured.err
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_bench_config_that_is_not_utf8_is_format_error(tmp_path, capsys):
+    config = tmp_path / "bench.yaml"
+    config.write_bytes(b"seed: 1\nreplications: 1\n# caf\xff\n"
+                       b"methods: [classical]\nsettings: [{n: 10}]\n")
+    assert _run("bench", "--config", str(config)) == EXIT_FORMAT
+    assert str(config) in capsys.readouterr().err
 
 
 def test_bundled_benchmark_config_loads():

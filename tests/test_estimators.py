@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -478,16 +479,18 @@ def test_eigendecompose_output_conventions():
 
 
 @pytest.mark.parametrize("n_points, q", [(2, 2), (6, 1), (6, 6), (40, 4),
-                                         (40, 40), (101, 4)])
+                                         (40, 40), (101, 4), (401, 4)])
 def test_eigendecompose_matches_full_eigh(n_points, q):
-    # The top-q subset solver against numpy's full eigh on random
-    # symmetric matrices, under the same ordering, sign rule and scaling.
+    # numpy's full eigh, cut to the top q, against scipy's subset solver
+    # (a different LAPACK driver) on random symmetric matrices, under the
+    # same ordering, sign rule and scaling.
     rng = np.random.default_rng(1000 + 10 * n_points + q)
     a = rng.standard_normal((n_points, n_points))
     matrix = (a + a.T) / 2.0
     system = eigendecompose(CovarianceSurface(matrix), q)
-    evals, evecs = np.linalg.eigh(matrix)
-    evals, evecs = evals[::-1][:q], evecs[:, ::-1][:, :q]
+    evals, evecs = scipy.linalg.eigh(
+        matrix, subset_by_index=[n_points - q, n_points - 1])
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     peaks = np.argmax(np.abs(evecs), axis=0)
     evecs = evecs * np.sign(evecs[peaks, np.arange(q)])
     spacing = 1.0 / n_points

@@ -117,8 +117,11 @@ def test_simulation_config_validation():
         SimulationConfig(n=10, outlier_fraction=0.5, seed=1)
     with pytest.raises(ValueError):
         SimulationConfig(n=10, outlier_fraction=-0.01, seed=1)
+    for noise_sd in (-1.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError):
+            SimulationConfig(n=10, noise_sd=noise_sd, seed=1)
     with pytest.raises(ValueError):
-        SimulationConfig(n=10, noise_sd=-1.0, seed=1)
+        SimulationConfig(n=10, outlier_fraction=False, seed=1)
     with pytest.raises(ValueError):
         SimulationConfig(n=10, seed=-1)
     with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.interpolate import BSpline
 
 from passfpca import (
@@ -198,36 +197,44 @@ def test_bspline_basis_matches_scipy(basis_size):
 # surface smoother operators
 
 
-def _smoother_operators(monkeypatch, n_points, basis_size):
-    """Build a surface smoother, capturing the penalty and the ridged
-    normal matrix handed to the generalized eigensolver."""
-    calls = []
-
-    def spy(a, b):
-        calls.append((a, b))
-        return scipy.linalg.eigh(a, b)
-
-    monkeypatch.setattr(smoothing, "eigh", spy)
+def _literal_operators(n_points, basis_size):
+    """Build a surface smoother, with the normal matrix over the
+    off-diagonal cells and the roughness penalty written out term by
+    term from their definitions."""
     smoother = smoothing._SurfaceSmoother(make_grid(n_points).points,
                                           basis_size)
-    [(penalty, ridged)] = calls
-    return smoother, penalty, ridged
-
-
-def test_surface_normal_matrix_matches_literal_design(monkeypatch):
-    smoother, _, ridged = _smoother_operators(monkeypatch, 9, 5)
-    basis = smoother.basis
+    basis, m = smoother.basis, smoother.m
     design = np.array([np.kron(basis[j], basis[k])
-                       for j in range(9) for k in range(9) if j != k])
-    literal = design.T @ design
-    xtx = ridged - 1e-10 * np.eye(25)
-    np.testing.assert_allclose(xtx, literal, rtol=0,
-                               atol=1e-12 * np.abs(literal).max())
+                       for j in range(n_points) for k in range(n_points)
+                       if j != k])
+    # One row per second difference of the coefficient grid, along
+    # either margin.
+    rows = []
+    for a in range(m - 2):
+        for b in range(m):
+            for cells in ([(a + i, b) for i in range(3)],
+                          [(b, a + i) for i in range(3)]):
+                row = np.zeros((m, m))
+                for cell, weight in zip(cells, (1.0, -2.0, 1.0)):
+                    row[cell] = weight
+                rows.append(row.reshape(-1))
+    rows = np.array(rows)
+    return smoother, design.T @ design, rows.T @ rows
 
 
-def test_surface_transform_diagonalizes_both_forms(monkeypatch):
-    smoother, penalty, ridged = _smoother_operators(monkeypatch, 101, 15)
+def test_surface_normal_matrix_matches_literal_design():
+    # T' (X'X + ridge) T = I for the literal off-diagonal design X.
+    smoother, normal, _ = _literal_operators(9, 5)
     transform = smoother.transform
+    ridged = normal + 1e-10 * np.eye(25)
+    np.testing.assert_allclose(transform.T @ ridged @ transform,
+                               np.eye(25), rtol=0, atol=1e-12)
+
+
+def test_surface_transform_diagonalizes_both_forms():
+    smoother, normal, penalty = _literal_operators(101, 15)
+    transform = smoother.transform
+    ridged = normal + 1e-10 * np.eye(225)
     np.testing.assert_allclose(transform.T @ ridged @ transform,
                                np.eye(225), rtol=0, atol=1e-12)
     eigs = smoother.penalty_eigs
