@@ -164,7 +164,7 @@ def _grid_size(path: str, header: list[str]) -> int:
         raise _FormatError(
             f"{path}:1: grid column names must be numeric: {exc}"
         ) from None
-    if np.max(np.abs(header_points - grid.points)) > 1e-9:
+    if not np.all(np.abs(header_points - grid.points) <= 1e-9):
         raise _FormatError(
             f"{path}:1: grid columns do not match the regular grid "
             f"t_j = j/{n_points}")

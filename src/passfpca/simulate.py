@@ -195,19 +195,9 @@ def draw_scores(law: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return standardized * np.sqrt(_EIGENVALUES)
 
 
-def _recover_scores(sample: FunctionalSample,
-                    truth: GroundTruth) -> np.ndarray:
-    """Project noise-free curves back onto the truth basis."""
-    basis = truth.eigenfunctions
-    gram = sample.grid.spacing * (basis.T @ basis)
-    proj = sample.grid.spacing * ((sample.values - truth.mean) @ basis)
-    return np.linalg.solve(gram, proj.T).T
-
-
 def inject_outliers(sample: FunctionalSample, truth: GroundTruth,
                     scheme: str, fraction: float,
-                    rng: np.random.Generator,
-                    scores: Optional[np.ndarray] = None,
+                    rng: np.random.Generator, scores: np.ndarray,
                     ) -> tuple[FunctionalSample, np.ndarray]:
     """Contaminate a fraction of curves under one of the two schemes.
 
@@ -229,10 +219,9 @@ def inject_outliers(sample: FunctionalSample, truth: GroundTruth,
         are selected without replacement (none when the fraction is 0).
     rng : numpy.random.Generator
         Stream used only for index selection.
-    scores : numpy.ndarray, optional
-        The exact scores behind ``sample``.  When omitted they are
-        recovered by projecting onto the truth basis, which is exact for
-        noise-free curves up to conditioning of the basis Gram matrix.
+    scores : numpy.ndarray
+        The exact ``(n, 4)`` scores behind ``sample``; ``ol2`` rebuilds
+        the selected curves from them.
 
     Returns
     -------
@@ -253,8 +242,6 @@ def inject_outliers(sample: FunctionalSample, truth: GroundTruth,
     if scheme == "ol1":
         values[indices] += 5.0
     else:
-        if scores is None:
-            scores = _recover_scores(sample, truth)
         modified = scores[indices].copy()
         modified[:, 0] += 3.0 * math.sqrt(truth.eigenvalues[0])
         basis = truth.eigenfunctions.copy()

@@ -3,8 +3,8 @@
 Two schemes are supported, one call each.  ``pre_smooth``
 (:func:`presmooth`) replaces each observed curve by a
 second-difference-penalized ridge fit before any covariance estimation,
-with the penalty chosen per curve by generalized cross-validation unless
-fixed.  ``smooth_cf`` (:func:`smooth_surface`) takes the covariance
+with the penalty chosen per curve by generalized cross-validation.
+``smooth_cf`` (:func:`smooth_surface`) takes the covariance
 surface estimated from the raw noisy curves and fits a penalized
 tensor-product B-spline through its off-diagonal cells only, since
 pointwise noise inflates exactly the diagonal (Yao, Müller & Wang 2005);
@@ -17,14 +17,11 @@ eigenanalysis is agnostic to how noise was handled.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .errors import (BasisSizeError, DimensionMismatchError,
-                     InsufficientSampleError)
+from .errors import BasisSizeError, InsufficientSampleError
 from .estimators import CovarianceSurface
 from .grid import FunctionalSample, make_grid
 
@@ -47,22 +44,6 @@ _SURFACE_PENALTIES = np.logspace(-10, 8, 91)
 _CACHED_GRIDS = 8
 
 
-def _check_penalty(penalty: Optional[float]) -> None:
-    if penalty is not None and not penalty >= 0.0:
-        raise DimensionMismatchError(
-            f"penalty must be nonnegative (or None for automatic "
-            f"selection), got {penalty}")
-
-
-def _shrink_factors(penalty: float, eigs: np.ndarray) -> np.ndarray:
-    """Ridge shrinkage 1/(1 + penalty * eig), with the infinite-penalty
-    limit mapped onto the penalty's numerical null space."""
-    if math.isinf(penalty):
-        null = eigs <= 1e-12 * max(eigs.max(), 1.0)
-        return null.astype(float)
-    return 1.0 / (1.0 + penalty * eigs)
-
-
 @lru_cache(maxsize=_CACHED_GRIDS)
 def _curve_smoother(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the curve roughness penalty on a grid of
@@ -76,46 +57,31 @@ def _curve_smoother(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return eigs, vecs
 
 
-def presmooth(sample: FunctionalSample, penalty: Optional[float] = None,
-              ) -> FunctionalSample:
+def presmooth(sample: FunctionalSample) -> FunctionalSample:
     """Smooth every curve with a roughness-penalized ridge fit.
 
     Each curve is replaced by the minimizer of its residual sum of
-    squares plus ``penalty`` times the integrated squared second
-    difference.  With ``penalty=None`` the penalty is chosen per
-    curve by generalized cross-validation over a fixed logarithmic grid;
-    a zero penalty reproduces the input and an infinite penalty returns
-    each curve's least-squares line.
+    squares plus a penalty times the integrated squared second
+    difference, with the penalty chosen per curve by generalized
+    cross-validation over a fixed logarithmic grid.
 
     Parameters
     ----------
     sample : FunctionalSample
         Observed (typically noisy) curves; the grid needs at least 4
         points.
-    penalty : float or None
-        Fixed roughness penalty, nonnegative; ``math.inf`` is accepted.
-        None (default) selects it per curve by generalized
-        cross-validation.
 
     Returns
     -------
     FunctionalSample
         Smoothed curves on the same grid.
     """
-    _check_penalty(penalty)
     n_points = sample.grid.n_points
     if n_points < 4:
         raise InsufficientSampleError(
             f"curve smoothing needs at least 4 grid points, got {n_points}")
-    if penalty == 0.0:
-        # Interpolation limit; short-circuit to keep it bit-exact.
-        return FunctionalSample(sample.values.copy())
     eigs, vecs = _curve_smoother(n_points)
     rotated = sample.values @ vecs
-    if penalty is not None:
-        factors = _shrink_factors(penalty, eigs)
-        smoothed = (rotated * factors) @ vecs.T
-        return FunctionalSample(smoothed)
     # GCV: evaluate every candidate penalty for every curve at once.
     shrink = 1.0 / (1.0 + _CURVE_PENALTIES[:, None] * eigs[None, :])
     edf = shrink.sum(axis=1)
@@ -196,8 +162,7 @@ class _SurfaceSmoother:
         self.penalty_eigs = np.clip(eigs, 0.0, None)
         self.transform = transform
 
-    def fit(self, matrix: np.ndarray, penalty: Optional[float],
-            ) -> np.ndarray:
+    def fit(self, matrix: np.ndarray) -> np.ndarray:
         """Fit the off-diagonal cells; return the smoothed full surface."""
         # A zero diagonal drops out of the projection and the residuals,
         # matching the off-diagonal normal matrix.
@@ -205,17 +170,15 @@ class _SurfaceSmoother:
         np.fill_diagonal(filled, 0.0)
         projected = (self.basis.T @ filled @ self.basis).reshape(-1)
         u = self.transform.T @ projected
-        if penalty is None:
-            # GCV: evaluate every candidate penalty at once; argmin keeps
-            # the first of tied minima.
-            yss = float(np.sum(filled * filled))
-            d = 1.0 / (1.0 + _SURFACE_PENALTIES[:, None] * self.penalty_eigs)
-            rss = (yss - 2.0 * np.sum(u * u * d, axis=1)
-                   + np.sum((u * d) ** 2, axis=1))
-            edf = d.sum(axis=1)
-            gcv = self.n_cells * rss / (self.n_cells - edf) ** 2
-            penalty = _SURFACE_PENALTIES[np.argmin(gcv)]
-        d = _shrink_factors(penalty, self.penalty_eigs)
+        # GCV: evaluate every candidate penalty at once; argmin keeps the
+        # first of tied minima.
+        yss = float(np.sum(filled * filled))
+        d = 1.0 / (1.0 + _SURFACE_PENALTIES[:, None] * self.penalty_eigs)
+        rss = (yss - 2.0 * np.sum(u * u * d, axis=1)
+               + np.sum((u * d) ** 2, axis=1))
+        edf = d.sum(axis=1)
+        gcv = self.n_cells * rss / (self.n_cells - edf) ** 2
+        d = d[np.argmin(gcv)]
         coef = (self.transform @ (d * u)).reshape(self.m, self.m)
         smoothed = self.basis @ coef @ self.basis.T
         return 0.5 * (smoothed + smoothed.T)
@@ -226,8 +189,8 @@ def _surface_smoother(n_points: int, basis_size: int) -> _SurfaceSmoother:
     return _SurfaceSmoother(make_grid(n_points).points, basis_size)
 
 
-def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
-                   penalty: Optional[float] = None) -> CovarianceSurface:
+def smooth_surface(surface: CovarianceSurface,
+                   basis_size: int = 15) -> CovarianceSurface:
     """Fit a penalized tensor-product spline through the off-diagonal
     cells of a covariance surface.
 
@@ -235,7 +198,8 @@ def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
     cells plus second-difference roughness penalties along both margins,
     so the (noise-inflated) diagonal never enters it, and is evaluated
     back on the full grid, which restores the diagonal from its smooth
-    neighbors.  The output is exactly symmetric.
+    neighbors.  The penalty is chosen by generalized cross-validation
+    over a fixed logarithmic grid.  The output is exactly symmetric.
 
     Parameters
     ----------
@@ -243,21 +207,16 @@ def smooth_surface(surface: CovarianceSurface, basis_size: int = 15,
         Full surface, typically estimated from raw noisy curves.
     basis_size : int
         Marginal B-spline basis dimension, between 4 and the grid size.
-    penalty : float or None
-        Fixed roughness penalty, nonnegative; ``math.inf`` yields the
-        bilinear null-space fit.  None (default) selects it by
-        generalized cross-validation.
 
     Returns
     -------
     CovarianceSurface
         Smoothed surface on the same grid.
     """
-    _check_penalty(penalty)
     n_points = surface.grid.n_points
     if not 4 <= basis_size <= n_points:
         raise BasisSizeError(
             f"basis_size must be between 4 and the grid size "
             f"{n_points}, got {basis_size}")
     smoother = _surface_smoother(n_points, basis_size)
-    return CovarianceSurface(smoother.fit(surface.matrix, penalty))
+    return CovarianceSurface(smoother.fit(surface.matrix))

@@ -583,16 +583,18 @@ def test_format_error_for_non_finite_value(tmp_path, capsys, value):
     assert "nonfinite.csv:7" in capsys.readouterr().err
 
 
-def test_format_error_for_wrong_grid(tmp_path, capsys):
+@pytest.mark.parametrize("position", ["0.123456789", "nan", "NaN", "-nan"])
+def test_format_error_for_wrong_grid(tmp_path, capsys, position):
     curves = _simulate(tmp_path)
     text = curves.read_text().splitlines()
     header = text[0].split(",")
-    header[1] = "0.123456789"
+    header[1] = position
     text[0] = ",".join(header)
     bad = tmp_path / "grid.csv"
     bad.write_text("\n".join(text) + "\n")
     assert _run("fit", "--input", str(bad),
                 "--eigenfunctions", str(tmp_path / "ef.csv")) == EXIT_FORMAT
+    assert "grid.csv:1:" in capsys.readouterr().err
 
 
 def test_estimation_error_for_degenerate_sample(tmp_path, capsys):

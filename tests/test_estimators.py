@@ -124,6 +124,15 @@ def test_sample_covariance_recovers_spectrum():
 # pass_covariance
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 600, 601, 2000])
+def test_column_medians_match_numpy_median_bitwise(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_normal((n, 7)),
+                   rng.integers(-3, 4, size=(n, 7)) / 4.0):
+        assert (estimators._column_medians(values).tobytes()
+                == np.median(values, axis=0).tobytes())
+
+
 def test_pass_covariance_two_curves_rank_one():
     sample = _sample([np.array([1.0, 0.0, 2.0]),
                       np.array([0.0, 1.0, -1.0])])

@@ -159,16 +159,16 @@ def _clean_sample(n, seed=0):
 def test_inject_outliers_count_is_ceiling():
     for n, fraction, expected in ((100, 0.05, 5), (101, 0.05, 6),
                                   (10, 0.033, 1), (40, 0.0, 0)):
-        sample, truth, _ = _clean_sample(n)
+        sample, truth, scores = _clean_sample(n)
         _, mask = inject_outliers(sample, truth, "ol1", fraction,
-                                  np.random.default_rng(5))
+                                  np.random.default_rng(5), scores)
         assert mask.sum() == expected
 
 
 def test_inject_outliers_shift_scheme():
-    sample, truth, _ = _clean_sample(30)
+    sample, truth, scores = _clean_sample(30)
     contaminated, mask = inject_outliers(sample, truth, "ol1", 0.1,
-                                         np.random.default_rng(8))
+                                         np.random.default_rng(8), scores)
     assert mask.sum() == 3
     np.testing.assert_allclose(contaminated.values[mask],
                                sample.values[mask] + 5.0, atol=1e-10)
@@ -178,8 +178,7 @@ def test_inject_outliers_shift_scheme():
 def test_inject_outliers_score_scheme_construction():
     sample, truth, scores = _clean_sample(25)
     contaminated, mask = inject_outliers(sample, truth, "ol2", 0.2,
-                                         np.random.default_rng(2),
-                                         scores=scores)
+                                         np.random.default_rng(2), scores)
     basis = truth.eigenfunctions.copy()
     basis[:, 0] = sample.grid.points
     modified = scores[mask].copy()
@@ -190,22 +189,11 @@ def test_inject_outliers_score_scheme_construction():
     assert np.array_equal(contaminated.values[~mask], sample.values[~mask])
 
 
-def test_inject_outliers_recovers_scores_when_omitted():
-    sample, truth, scores = _clean_sample(25)
-    with_scores, _ = inject_outliers(sample, truth, "ol2", 0.2,
-                                     np.random.default_rng(2),
-                                     scores=scores)
-    without, _ = inject_outliers(sample, truth, "ol2", 0.2,
-                                 np.random.default_rng(2))
-    np.testing.assert_allclose(without.values, with_scores.values,
-                               atol=1e-8)
-
-
 def test_inject_outliers_validation():
-    sample, truth, _ = _clean_sample(10)
+    sample, truth, scores = _clean_sample(10)
     with pytest.raises(DimensionMismatchError):
         inject_outliers(sample, truth, "shift", 0.1,
-                        np.random.default_rng(0))
+                        np.random.default_rng(0), scores)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from scipy.interpolate import BSpline
 from passfpca import (
     BasisSizeError,
     CovarianceSurface,
-    DimensionMismatchError,
     FunctionalSample,
     InsufficientSampleError,
     SimulationConfig,
@@ -41,23 +40,17 @@ def _first_eigenfunction_mse(surface, reference):
 # presmooth
 
 
-def test_presmooth_zero_penalty_is_identity():
-    sample = _noisy_sample(n=10, seed=3)
-    out = presmooth(sample, penalty=0.0)
-    assert np.array_equal(out.values, sample.values)
-    assert out.grid == sample.grid
-
-
-def test_presmooth_infinite_penalty_gives_least_squares_line():
-    grid = make_grid(30)
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal((4, 30))
-    sample = FunctionalSample(values)
-    out = presmooth(sample, penalty=np.inf)
-    for raw, fitted in zip(values, out.values):
-        slope, intercept = np.polyfit(grid.points, raw, 1)
-        line = slope * grid.points + intercept
-        np.testing.assert_allclose(fitted, line, atol=1e-8)
+def test_curve_penalty_null_space_is_the_lines():
+    # The penalty vanishes on exactly the straight lines, the limit of
+    # the ridge fit as its penalty grows.
+    for n_points, atol in ((30, 1e-11), (101, 1e-9)):
+        eigs, vecs = smoothing._curve_smoother(n_points)
+        null = vecs[:, eigs <= 1e-12 * eigs.max()]
+        assert null.shape == (n_points, 2)
+        points = make_grid(n_points).points
+        lines = np.column_stack([np.ones(n_points), points])
+        np.testing.assert_allclose(null @ (null.T @ lines), lines,
+                                   rtol=0, atol=atol)
 
 
 def test_presmooth_gcv_keeps_noise_free_signals():
@@ -77,11 +70,28 @@ def test_presmooth_gcv_reduces_noise():
     assert err_smooth < 0.5 * err_raw
 
 
+@pytest.mark.parametrize("n_points", [41, 101])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.3, 1.0])
+def test_presmooth_gcv_picks_the_per_curve_minimum(n_points, noise_sd):
+    sample, _ = generate(SimulationConfig(n=60, n_points=n_points,
+                                          noise_sd=noise_sd, seed=47))
+    smoothed = presmooth(sample).values
+    eigs, vecs = smoothing._curve_smoother(n_points)
+    for curve, row in zip(sample.values, smoothed):
+        # The literal loop: each candidate's GCV score in turn, keeping
+        # the first strict minimum.
+        rotated = curve @ vecs
+        best_gcv, expected = math.inf, None
+        for candidate in smoothing._CURVE_PENALTIES:
+            shrink = 1.0 / (1.0 + candidate * eigs)
+            rss = np.sum((rotated * (1.0 - shrink)) ** 2)
+            gcv = n_points * rss / (n_points - shrink.sum()) ** 2
+            if gcv < best_gcv:
+                best_gcv, expected = gcv, (rotated * shrink) @ vecs.T
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+
 def test_presmooth_validation():
-    sample = _noisy_sample(n=5, seed=1)
-    for penalty in (-1.0, np.nan):
-        with pytest.raises(DimensionMismatchError):
-            presmooth(sample, penalty=penalty)
     short = FunctionalSample(np.ones((2, 3)))
     with pytest.raises(InsufficientSampleError):
         presmooth(short)
@@ -145,10 +155,8 @@ def test_smooth_surface_ignores_diagonal():
     surface = pass_covariance(_noisy_sample(n=40, noise_sd=1.0, seed=29))
     inflated = CovarianceSurface(
         surface.matrix + 1e3 * np.eye(surface.grid.n_points))
-    for penalty in (None, 1e-4):
-        assert np.array_equal(
-            smooth_surface(surface, penalty=penalty).matrix,
-            smooth_surface(inflated, penalty=penalty).matrix)
+    assert np.array_equal(smooth_surface(surface).matrix,
+                          smooth_surface(inflated).matrix)
 
 
 def test_smooth_surface_output_exactly_symmetric():
@@ -158,22 +166,12 @@ def test_smooth_surface_output_exactly_symmetric():
     assert np.isfinite(smoothed.matrix).all()
 
 
-def test_smooth_surface_fixed_penalty_path():
-    surface = pass_covariance(_noisy_sample(n=40, noise_sd=1.0, seed=31))
-    manual = smooth_surface(surface, penalty=1e-4)
-    assert manual.matrix.shape == surface.matrix.shape
-    assert np.isfinite(manual.matrix).all()
-
-
 def test_smooth_surface_validation():
     surface = pass_covariance(_noisy_sample(n=20, seed=3))
     for basis_size in (3, 102):
         with pytest.raises(BasisSizeError):
             smooth_surface(surface, basis_size=basis_size)
     smooth_surface(surface, basis_size=4)
-    for penalty in (-1.0, np.nan):
-        with pytest.raises(DimensionMismatchError):
-            smooth_surface(surface, penalty=penalty)
 
 
 @pytest.mark.parametrize("basis_size", [4, 15, 30])
@@ -244,18 +242,13 @@ def test_surface_transform_diagonalizes_both_forms():
 
 
 def test_surface_gcv_picks_the_per_candidate_minimum(monkeypatch):
-    chosen = []
-    shrink = smoothing._shrink_factors
-    monkeypatch.setattr(
-        smoothing, "_shrink_factors",
-        lambda penalty, eigs: chosen.append(penalty) or shrink(penalty, eigs))
     clean, _ = generate(SimulationConfig(n=100, seed=41))
     surfaces = [pass_covariance(_noisy_sample(n=100, seed=37)),
                 sample_covariance(_noisy_sample(n=100, noise_sd=0.3, seed=39)),
-                pass_covariance(clean)]
+                pass_covariance(clean),
+                pass_covariance(_noisy_sample(n=60, noise_sd=2.0, seed=43))]
+    candidates = smoothing._SURFACE_PENALTIES
     for surface in surfaces:
-        chosen.clear()
-        smooth_surface(surface)
         smoother = smoothing._surface_smoother(surface.grid.n_points, 15)
         # The literal loop: each candidate's GCV score in turn, keeping
         # the first strict minimum.
@@ -264,11 +257,19 @@ def test_surface_gcv_picks_the_per_candidate_minimum(monkeypatch):
         u = smoother.transform.T @ (
             smoother.basis.T @ filled @ smoother.basis).reshape(-1)
         yss = float(np.sum(filled * filled))
-        best_gcv, expected = math.inf, None
-        for candidate in smoothing._SURFACE_PENALTIES:
+        best_gcv, best = math.inf, None
+        for index, candidate in enumerate(candidates):
             d = 1.0 / (1.0 + candidate * smoother.penalty_eigs)
             rss = yss - 2.0 * np.sum(u * u * d) + np.sum((u * d) ** 2)
             gcv = smoother.n_cells * rss / (smoother.n_cells - d.sum()) ** 2
             if gcv < best_gcv:
-                best_gcv, expected = gcv, candidate
-        assert chosen == [expected]
+                best_gcv, best = gcv, index
+        full = smooth_surface(surface).matrix
+        neighbour = best + 1 if best + 1 < candidates.size else best - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothing, "_SURFACE_PENALTIES",
+                          candidates[best:best + 1])
+            assert np.array_equal(smooth_surface(surface).matrix, full)
+            patch.setattr(smoothing, "_SURFACE_PENALTIES",
+                          candidates[neighbour:neighbour + 1])
+            assert not np.array_equal(smooth_surface(surface).matrix, full)
