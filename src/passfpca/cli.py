@@ -27,7 +27,7 @@ import yaml
 from .errors import PassFpcaError, is_integer
 from .estimators import EigenSystem
 from .grid import FunctionalSample, make_grid
-from .metrics import config_label, run_benchmark
+from .metrics import _check_methods, config_label, run_benchmark
 from .pipeline import (
     EIGENFUNCTION_METHODS,
     Pipeline,
@@ -398,8 +398,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         configs = [SimulationConfig(seed=0, **setting)
                    for setting in document["settings"]]
         opts = SolverOptions(**(document.get("solver") or {}))
-        for method in methods:
-            parse_method(method)
+        _check_methods(methods)
     except (PassFpcaError, TypeError) as exc:
         raise _FormatError(f"{args.config}: invalid setting: {exc}") from None
     rows = run_benchmark(configs, methods,
@@ -420,6 +419,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "solver": asdict(opts),
         "rows": len(rows),
         "failed_cells": failed,
+        "failure_reasons": [
+            {"setting": config_label(row.config), "method": row.method,
+             "counts": row.failure_reasons}
+            for row in rows if row.failures],
         "results_csv": out_path,
     })
     for cell in failed:

@@ -31,7 +31,7 @@ evaluated; the returned ratios are ``G(x)``.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -82,13 +82,10 @@ class PairScores:
     each column.  Only the pairs retained in every component are kept,
     and the constructor drops their all-zero rows, which weigh nothing in
     any expectation; it raises :class:`DegenerateSampleError` when no row
-    is left.  The scores are stored component-major (Fortran order), so
-    each component is one contiguous column for the solvers' products;
-    the constructor copies a caller's array into that layout in the same
-    single copy that drops zero rows.  :func:`pair_scores` builds them
-    one component at a time from the curves' projections, never holding
-    all ``P x q`` pair projections at once, and lets the constructor drop
-    the zero rows inside the array it has just built.
+    is left.  The scores are stored component-major (Fortran order), one
+    contiguous column per component for the solvers' products; the
+    constructor copies a caller's array into that layout in the same
+    single copy that drops zero rows, and never writes to it.
 
     Attributes
     ----------
@@ -106,37 +103,19 @@ class PairScores:
     squared: np.ndarray = field(repr=False)
     standardizers: np.ndarray = field(repr=False)
     joint_mask: np.ndarray = field(repr=False)
-    # True lets the constructor pack the kept rows into ``squared``'s own
-    # F-contiguous buffer; only pair_scores passes it, for its own array.
-    _reuse: InitVar[bool] = False
 
-    def __post_init__(self, _reuse):
+    def __post_init__(self):
         squared = self.squared
         if squared.shape[0] == 0:
             raise DegenerateSampleError(
                 "no pair is retained in every component; lower trim_fraction")
-        # One scan, a column at a time: contiguous in component-major
-        # storage, where a row-wise any() strides across the columns.
-        nonzero = squared[:, 0] != 0.0
-        for col in range(1, self.q):
-            nonzero |= squared[:, col] != 0.0
-        kept = np.count_nonzero(nonzero)
-        if kept == 0:
+        nonzero = _nonzero_rows(squared)
+        if not nonzero.any():
             raise DegenerateSampleError(
                 "all retained pairs have zero projection norm")
-        if kept == nonzero.size and squared.flags.f_contiguous:
-            return
-        # Column l's kept rows go to [l * kept, (l + 1) * kept), which
-        # ends before column l + 1 starts, so packing in place reads no
-        # overwritten value.  Masking the column view reads the mask
-        # directly, where squared[nonzero, col] would first expand it to
-        # int64 indices.
-        flat = (squared.reshape(-1, order="F") if _reuse
-                else np.empty(kept * self.q, dtype=squared.dtype))
-        for col in range(self.q):
-            flat[col * kept:(col + 1) * kept] = squared[:, col][nonzero]
-        self.squared = flat[:kept * self.q].reshape((kept, self.q),
-                                                   order="F")
+        if not (nonzero.all() and squared.flags.f_contiguous):
+            self.squared = _pack_rows(squared, nonzero,
+                                      np.empty(squared.size, squared.dtype))
 
     @property
     def q(self) -> int:
@@ -187,6 +166,30 @@ class ConvergenceDiagnostic:
     lhs: np.ndarray
     bound: np.ndarray
     margin: np.ndarray
+
+
+def _nonzero_rows(squared: np.ndarray) -> np.ndarray:
+    """True at the rows of ``squared`` with a nonzero entry, scanned a
+    column at a time: contiguous in component-major storage, where a
+    row-wise any() strides across the columns."""
+    nonzero = squared[:, 0] != 0.0
+    for col in range(1, squared.shape[1]):
+        nonzero |= squared[:, col] != 0.0
+    return nonzero
+
+
+def _pack_rows(squared: np.ndarray, keep: np.ndarray,
+               flat: np.ndarray) -> np.ndarray:
+    """The rows of ``squared`` at ``keep``, F-contiguous at the front of
+    the 1-d ``flat``, which may be ``squared``'s own F-ordered buffer:
+    column ``l``'s ``kept`` rows go to ``[l * kept, (l + 1) * kept)``,
+    which ends before column ``l + 1`` starts.  The column view reads
+    the mask as is; ``squared[keep, col]`` would expand it to int64
+    indices."""
+    kept, q = np.count_nonzero(keep), squared.shape[1]
+    for col in range(q):
+        flat[col * kept:(col + 1) * kept] = squared[:, col][keep]
+    return flat[:kept * q].reshape((kept, q), order="F")
 
 
 def _trim_largest(magnitudes: np.ndarray, n_trim: int,
@@ -248,11 +251,10 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     computed, which keeps single wild pairs from dominating the
     normalization under heavy-tailed scores.
 
-    The build runs in two passes over the components, each filling one
-    ``P``-long buffer with a component's squared pair projections, the
-    squared differences of the curves' projections on it: the first
-    trims it and takes its standardizer, the second writes its jointly
-    retained scores into their column of the result.
+    One pass fills each component's column of a component-major
+    ``P x q`` array with its squared pair projections, then trims the
+    column, takes its standardizer and divides by it in place; the
+    jointly retained rows that are not all zero go to the array's front.
 
     Parameters
     ----------
@@ -290,13 +292,11 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         raise InsufficientSampleError(
             f"no curve pair is left after trimming: {n} curves, "
             f"trim_fraction {trim_fraction}")
-    # Pass 1 holds a P-long buffer, its partition copy and two masks, 18
-    # bytes a pair; pass 2 and the solver hold the M x q scores, the
-    # buffer or its M-long successors and the joint mask, 8q + 17.
-    # Each fill's gather takes 24 bytes for each pair among the last
-    # min(n, 256) rows.
+    # The P x q scores and joint mask, plus a column's partition copy or
+    # retained gather and one more mask: 8q + 10 bytes a pair.  A fill's
+    # gather takes 24 bytes a pair among the last min(n, 256) rows.
     n_tail = min(n, _TAIL_ROWS)
-    _check_memory(n_pairs * (8 * q + 18) + 12 * n_tail * (n_tail - 1),
+    _check_memory(n_pairs * (8 * q + 10) + 12 * n_tail * (n_tail - 1),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
     # squares cannot overflow; the scores are ratios and do not change.
@@ -304,39 +304,37 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     curve_proj = np.ascontiguousarray((sample.grid.spacing * (
         values @ eigensystem.eigenfunctions[:, :q])).T)
     del values
-    # Each pass fills `row` with one component's squared projections,
-    # pairs i < j in row-major order.  Squaring is strictly increasing on
-    # normal floats, so trimming the squares trims the largest magnitudes.
-    row = np.empty(n_pairs)
+    # Column col holds component col's squared projections, pairs i < j
+    # in row-major order.  Squaring is strictly increasing on normal
+    # floats, so trimming the squares trims the largest magnitudes.
+    squared = np.empty((n_pairs, q), order="F")
     joint_mask = np.ones(n_pairs, dtype=bool)
     standardizers = np.empty(q)
     for col in range(q):
-        _pair_sq_diffs(curve_proj[col], row)
+        column = squared[:, col]
+        _pair_sq_diffs(curve_proj[col], column)
         retained = np.ones(n_pairs, dtype=bool)
         if n_trim > 0:
-            _trim_largest(row, n_trim, retained)
+            _trim_largest(column, n_trim, retained)
         joint_mask &= retained
-        s = float(np.mean(row[retained]))
+        s = float(np.mean(column[retained]))
         if s <= 0.0:
             raise DegenerateSampleError(
                 f"component {col}: all pair projections are zero")
         standardizers[col] = s
+        column /= s
     del retained
-    # Pass 2 rebuilds each component to fill its column of the jointly
-    # retained scores, stored component-major so each column is one
-    # contiguous block.
-    squared = np.empty((np.count_nonzero(joint_mask), q), order="F")
-    for col in range(q):
-        _pair_sq_diffs(curve_proj[col], row)
-        np.divide(row[joint_mask], standardizers[col], out=squared[:, col])
-    del row
+    # Pairs of coincident curves score zero in every component and go
+    # too; if no row is left, the joint rows (none, or all zero) go to
+    # the constructor, which says which.
+    keep = _nonzero_rows(squared)
+    keep &= joint_mask
+    squared = _pack_rows(squared, keep if keep.any() else joint_mask,
+                         squared.reshape(-1, order="F"))
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)
-    # Pairs of coincident curves score zero in every component; the
-    # constructor drops their rows inside this array, with no second
-    # M x q copy.
-    return PairScores(squared, standardizers, joint_mask, _reuse=True)
+    return PairScores(squared, standardizers, joint_mask)
 
 
 def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,
@@ -468,7 +466,8 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
     def f_eval(lam: np.ndarray) -> np.ndarray:
         # Iterates stay positive with lam[0] == 1, so every row's
         # denominator V_1^2 + sum_{l>=2} lam_l V_l^2 does too.
-        weights = 1.0 / (squared @ lam)
+        weights = squared @ lam
+        np.reciprocal(weights, out=weights)
         return (weights @ squared) / squared.shape[0]
 
     return _run_fixed_point(f_eval, kappa_ratios, start, tol, max_iter)

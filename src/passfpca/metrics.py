@@ -17,6 +17,7 @@ seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -73,6 +74,8 @@ class ReplicationResult:
     failures : int
         Replicates excluded because of estimation errors or
         non-convergence.
+    failure_reasons : dict
+        ``failures`` by cause: error class name, or ``not_converged``.
     """
 
     method: str
@@ -81,6 +84,7 @@ class ReplicationResult:
     eigenfunctions: Optional[np.ndarray] = field(default=None, repr=False)
     ratios: Optional[np.ndarray] = field(default=None, repr=False)
     failures: int = 0
+    failure_reasons: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.replications < 1:
@@ -98,7 +102,8 @@ class ReplicationResult:
 
 @dataclass
 class BenchmarkRow:
-    """One cell of the benchmark table."""
+    """One cell of the benchmark table, with ``failure_reasons`` as in
+    :class:`ReplicationResult`."""
 
     config: SimulationConfig
     method: str
@@ -107,6 +112,7 @@ class BenchmarkRow:
     pve_mse: Optional[float]
     failures: int
     replications: int
+    failure_reasons: dict[str, int] = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -195,6 +201,15 @@ def derive_seed(master_seed: int, config_index: int, replicate: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _check_methods(methods: Sequence[str]) -> None:
+    """Parse every method identifier and reject repeats, which would be
+    evaluated and stored twice per replicate."""
+    for method in methods:
+        parse_method(method)
+    if len(set(methods)) < len(methods):
+        raise DimensionMismatchError(f"a method is repeated in {methods}")
+
+
 def collect_replicates(config: SimulationConfig, methods: Sequence[str],
                        replications: int, seed: int,
                        config_index: int = 0,
@@ -205,7 +220,7 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
 
     Each replicate generates one sample (seeded independently of the
     method list), evaluates every method on it, and records failures
-    per method without aborting the sweep.
+    per method, by cause, without aborting the sweep.
 
     Returns
     -------
@@ -216,10 +231,9 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
         raise DimensionMismatchError(
             f"replications must be >= 1, got {replications}")
     opts = opts or SolverOptions()
-    for method in methods:
-        parse_method(method)
+    _check_methods(methods)
     store: dict[str, list] = {m: [] for m in methods}
-    failures = {m: 0 for m in methods}
+    reasons = {m: Counter() for m in methods}
     for rep in range(replications):
         rep_config = replace(config,
                              seed=derive_seed(seed, config_index, rep))
@@ -228,15 +242,15 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
         for method in methods:
             try:
                 value = pipeline.evaluate(method)
-            except PassFpcaError:
-                failures[method] += 1
+            except PassFpcaError as exc:
+                reasons[method][type(exc).__name__] += 1
                 continue
             if isinstance(value, EigenSystem):
                 store[method].append(value.eigenfunctions[:, 0])
             elif value.converged:
                 store[method].append(value.ratios)
             else:
-                failures[method] += 1
+                reasons[method]["not_converged"] += 1
     results = {}
     for method in methods:
         stack = np.array(store[method]) if store[method] else None
@@ -244,7 +258,9 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
         results[method] = ReplicationResult(
             method=method, config=config, replications=replications,
             eigenfunctions=stack if eigen else None,
-            ratios=None if eigen else stack, failures=failures[method])
+            ratios=None if eigen else stack,
+            failures=sum(reasons[method].values()),
+            failure_reasons=dict(reasons[method]))
     return results
 
 
@@ -276,7 +292,6 @@ def run_benchmark(configs: Sequence[SimulationConfig],
         every replicate failed carry None metrics and are flagged via
         ``failed``; the sweep itself never aborts.
     """
-    opts = opts or SolverOptions()
     rows: list[BenchmarkRow] = []
     for config_index, config in enumerate(configs):
         grid = make_grid(config.n_points)
@@ -294,5 +309,6 @@ def run_benchmark(configs: Sequence[SimulationConfig],
             rows.append(BenchmarkRow(
                 config=config, method=method, mse=mse, bias=bias,
                 pve_mse=pve_mse, failures=result.failures,
-                replications=replications))
+                replications=replications,
+                failure_reasons=result.failure_reasons))
     return rows

@@ -416,6 +416,7 @@ settings:
     assert len(lines) == 5
     doc = json.loads(summary.read_text())
     assert doc["failed_cells"] == []
+    assert doc["failure_reasons"] == []
     assert doc["rows"] == 4
     assert doc["results_csv"] == str(out_a)
 
@@ -454,6 +455,24 @@ settings:
     assert "ridge" in capsys.readouterr().err
 
 
+def test_bench_repeated_method_is_format_error(tmp_path, monkeypatch,
+                                               capsys):
+    # A repeated method would count each replicate's failure twice, so
+    # that a cell's failures exceed its replications.
+    monkeypatch.chdir(tmp_path)
+    config = _write_bench_config(tmp_path, """\
+seed: 1
+replications: 3
+methods: [pass_mc, pass_mc]
+settings:
+  - {n: 2}
+""")
+    assert _run("bench", "--config", str(config)) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(config) in err and "pass_mc" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_bench_strict_flags_failed_cell(tmp_path):
     # Two curves give one pair; the default trimming removes it, so the
     # ratio cell can never succeed.
@@ -477,6 +496,9 @@ summary: summary.json
     doc = json.loads((tmp_path / "s2.json").read_text())
     assert len(doc["failed_cells"]) == 1
     assert doc["failed_cells"][0]["method"] == "pass_mc"
+    assert doc["failure_reasons"] == [{
+        "setting": doc["failed_cells"][0]["setting"], "method": "pass_mc",
+        "counts": {"InsufficientSampleError": 2}}]
     with open(tmp_path / "o2.csv", newline="") as handle:
         row = list(csv.reader(handle))[1]
     assert row[2] == row[3] == row[4] == ""

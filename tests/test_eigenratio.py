@@ -1,6 +1,7 @@
 """Tests for pair projections, the fixed-point ratio solvers, and the
 convergence diagnostic."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -170,6 +171,23 @@ def test_pair_differences_are_bitwise_pdist(n):
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
+def test_pair_scores_fills_each_component_once(monkeypatch):
+    # One pass: each component's pair differences are built once, into
+    # the scores' own column, and the constructor takes no extra flag.
+    columns = []
+    fill = eigenratio._pair_sq_diffs
+    monkeypatch.setattr(eigenratio, "_pair_sq_diffs",
+                        lambda column, out: (columns.append(out.size),
+                                             fill(column, out)))
+    sample, system, _ = _gaussian_fit(n=50, seed=2)
+    for q in (1, 3):
+        columns.clear()
+        pair_scores(sample, system, q, 0.02)
+        assert columns == [50 * 49 // 2] * q
+    assert list(inspect.signature(PairScores).parameters) == [
+        "squared", "standardizers", "joint_mask"]
+
+
 def test_pair_scores_fails_fast_on_huge_samples(monkeypatch):
     monkeypatch.setattr(estimators, "_physical_memory", lambda: 16 * 2 ** 30)
     sample = FunctionalSample(np.zeros((100_000, 2)))
@@ -196,6 +214,28 @@ def test_pair_scores_memory_estimate_covers_the_traced_peak(
     tracemalloc.start()
     try:
         scores = pair_scores(sample, system, q, trim)
+        eigenratio_mc(scores, system.eigenvalues[:q])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [estimate] = estimates
+    assert peak <= estimate <= 1.25 * peak
+
+
+@pytest.mark.parametrize("q", [1, 4])
+def test_pair_scores_memory_estimate_covers_the_peak_at_2000_curves(
+        monkeypatch, q):
+    # Here the tail gather's slack is under half a byte a pair, so the
+    # estimate must cover every P-long array alive at the peak: without
+    # trimming, the retained gather is P floats.
+    sample, _ = generate(SimulationConfig(n=2000, seed=12))
+    system = eigendecompose(pass_covariance(sample), 4)
+    estimates = []
+    monkeypatch.setattr(eigenratio, "_check_memory",
+                        lambda n_bytes, what: estimates.append(n_bytes))
+    tracemalloc.start()
+    try:
+        scores = pair_scores(sample, system, q, 0.0)
         eigenratio_mc(scores, system.eigenvalues[:q])
         _, peak = tracemalloc.get_traced_memory()
     finally:

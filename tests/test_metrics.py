@@ -6,6 +6,7 @@ import pytest
 from passfpca import (
     BenchmarkRow,
     DimensionMismatchError,
+    FunctionalSample,
     InsufficientSampleError,
     ReplicationResult,
     SimulationConfig,
@@ -21,6 +22,7 @@ from passfpca import (
     run_benchmark,
     truth_pve,
 )
+from passfpca import metrics
 
 _GRID = make_grid(101)
 _TRUTH = fourier_truth(_GRID)
@@ -172,6 +174,38 @@ def test_collect_replicates_rejects_unknown_methods():
             collect_replicates(config, [bad], 1, seed=1)
 
 
+def test_collect_replicates_rejects_repeated_methods():
+    # A repeated method would be evaluated and stored twice per
+    # replicate, and its cell would count up to twice the replicates.
+    config = SimulationConfig(n=20, seed=0)
+    with pytest.raises(DimensionMismatchError, match="pass_mc"):
+        collect_replicates(config, ["pass_mc", "pass", "pass_mc"], 3, seed=1)
+
+
+def test_collect_replicates_reports_failures_by_error_class(monkeypatch):
+    # Replicate 1 of 3 is replaced by identical curves, on which every
+    # PASS method raises DegenerateSampleError.
+    degenerate_seed = derive_seed(4, 0, 1)
+
+    def generate(config):
+        sample, truth = real_generate(config)
+        if config.seed == degenerate_seed:
+            sample = FunctionalSample(np.tile(sample.values[0],
+                                              (sample.n, 1)))
+        return sample, truth
+
+    real_generate = metrics.generate
+    monkeypatch.setattr(metrics, "generate", generate)
+    config = SimulationConfig(n=30, seed=0)
+    results = collect_replicates(config, ["pass", "pass_mc"], 3, seed=4)
+    for method in ("pass", "pass_mc"):
+        assert results[method].failures == 1
+        assert results[method].failure_reasons == {
+            "DegenerateSampleError": 1}
+    [row, _] = run_benchmark([config], ["pass", "pass_mc"], 3, seed=4)
+    assert row.failure_reasons == {"DegenerateSampleError": 1}
+
+
 def test_collect_replicates_is_method_list_invariant():
     config = SimulationConfig(n=40, seed=0)
     alone = collect_replicates(config, ["pass"], 3, seed=11)
@@ -197,6 +231,7 @@ def test_collect_replicates_counts_nonconvergence_as_failure():
     results = collect_replicates(config, ["pass_mc"], 3, seed=2,
                                  opts=strict)
     assert results["pass_mc"].failures == 3
+    assert results["pass_mc"].failure_reasons == {"not_converged": 3}
     assert results["pass_mc"].ratios is None
 
 
@@ -243,7 +278,10 @@ def test_run_benchmark_marks_failed_cells_and_continues():
     assert by_method["pass_mc"].failed
     assert by_method["pass_mc"].pve_mse is None
     assert by_method["pass_mc"].failures == 2
+    assert by_method["pass_mc"].failure_reasons == {
+        "InsufficientSampleError": 2}
     assert not by_method["classical"].failed
+    assert by_method["classical"].failure_reasons == {}
 
 
 def test_benchmark_row_failed_property():

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passfpca import (
+    OUTLIER_SCHEMES,
+    SCORE_LAWS,
     FunctionalSample,
     Pipeline,
     SimulationConfig,
@@ -53,6 +55,66 @@ def test_pass_surface_invariants(n, n_points, seed, shift, scale, negate,
     order.shuffle(permutation)
     permuted = _pass_surface(values[permutation])
     assert np.max(np.abs(permuted - base)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# ratio path properties
+
+
+def _ratio_path(values, scheme):
+    """``pass_mc`` and ``pass_elliptical`` ratios and the ``pass``
+    eigenfunctions of one sample under one smoothing scheme."""
+    pipeline = Pipeline(FunctionalSample(values))
+    suffix = "" if scheme is None else f"@{scheme}"
+    return (pipeline.evaluate("pass_mc" + suffix).ratios,
+            pipeline.evaluate("pass_elliptical" + suffix).ratios,
+            pipeline.evaluate("pass" + suffix).eigenfunctions)
+
+
+def _assert_same_path(got, base):
+    for ratios, expected in zip(got[:2], base[:2]):
+        np.testing.assert_allclose(ratios, expected, rtol=1e-10, atol=0)
+    # The largest-entry sign rule can flip on a tie, so align signs.
+    signs = np.sign(np.sum(got[2] * base[2], axis=0))
+    np.testing.assert_allclose(got[2] * signs, base[2], rtol=0,
+                               atol=1e-10 * np.max(np.abs(base[2])))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(12, 40), law=st.sampled_from(SCORE_LAWS),
+       outliers=st.sampled_from(OUTLIER_SCHEMES),
+       scheme=st.sampled_from([None, "pre_smooth"]),
+       seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(-10.0, 10.0),
+       scale=st.floats(0.01, 100.0), n_copies=st.integers(1, 6),
+       order=st.randoms(use_true_random=False))
+def test_ratio_path_invariances(n, law, outliers, scheme, seed, shift,
+                                scale, n_copies, order):
+    # The pair layer trims by magnitude, breaks ties at the highest pair
+    # index and averages over all pairs, so the ratios and eigenfunctions
+    # must not see the order of the curves, a common function added to
+    # every curve, a positive scale, or where the copies of duplicated
+    # curves stand.  Pre-smoothing picks each curve's penalty by GCV,
+    # which a common line, in the penalty's null space, leaves alone but
+    # a curved function does not.
+    sample, _ = generate(SimulationConfig(
+        n=n, n_points=21, score_law=law, outlier_scheme=outliers,
+        noise_sd=0.3 if scheme else 0.0, seed=seed))
+    values = sample.values
+    base = _ratio_path(values, scheme)
+    permutation = list(range(n))
+    order.shuffle(permutation)
+    _assert_same_path(_ratio_path(values[permutation], scheme), base)
+    points = sample.grid.points
+    common = shift * (1.0 - 2.0 * points)
+    if scheme is None:
+        common += shift * np.cos(3.0 * np.pi * points)
+    _assert_same_path(_ratio_path(values + common, scheme), base)
+    _assert_same_path(_ratio_path(scale * values, scheme), base)
+    copies = np.concatenate([values, values[permutation[:n_copies]]])
+    shuffled = list(range(n + n_copies))
+    order.shuffle(shuffled)
+    _assert_same_path(_ratio_path(copies[shuffled], scheme),
+                      _ratio_path(copies, scheme))
 
 
 # ---------------------------------------------------------------------------
