@@ -43,7 +43,12 @@ from .errors import (
     InsufficientSampleError,
     ThresholdError,
 )
-from .estimators import EigenSystem, _check_memory, _unit_scale
+from .estimators import (
+    _BLOCK_BYTES,
+    EigenSystem,
+    _check_memory,
+    _unit_scale,
+)
 from .grid import FunctionalSample
 
 __all__ = [
@@ -581,20 +586,31 @@ def convergence_condition(pairscores: PairScores,
     if np.any(x < 0.0):
         raise DimensionMismatchError("x_star entries must be nonnegative")
     squared = pairscores.squared
-    denom = squared @ np.concatenate(([1.0], x))
-    # Zero entries of x_star can zero a nonzero row's denominator; such
-    # rows get zero weight and leave the averages.
-    good = denom > 0.0
-    n_good = np.count_nonzero(good)
+    coeffs = np.concatenate(([1.0], x))
+    n_good = 0
+    first_order = np.zeros(q)       # sum of V_m^2 / den
+    cross = np.zeros((q, q))        # sum of V_m^2 V_l^2 / den^2
+    # Sums over blocks of rows, whose scratch stays within _BLOCK_BYTES.
+    rows_per_block = max(1, _BLOCK_BYTES // (8 * q + 17))
+    for start in range(0, squared.shape[0], rows_per_block):
+        block = squared[start:start + rows_per_block]
+        denom = block @ coeffs
+        # Zero entries of x_star can zero a nonzero row's denominator;
+        # such rows get zero weight and leave the averages.
+        good = denom > 0.0
+        n_good += int(np.count_nonzero(good))
+        weights = np.divide(1.0, denom, out=np.zeros_like(denom),
+                            where=good)
+        first_order += weights @ block
+        ratio1 = block * weights[:, None]
+        cross += ratio1.T @ ratio1
     if n_good == 0:
         raise DegenerateSampleError(
             "all retained pairs have zero projection norm")
-    weights = np.divide(1.0, denom, out=np.zeros_like(denom), where=good)
-    first_order = (weights @ squared) / n_good   # E[V_m^2 / den]
-    ratio1 = squared * weights[:, None]          # V_m^2 / den
-    # cross[m, l] = E[V_m^2 V_l^2 / den^2], indexed from the leading
-    # component at m = 0.
-    cross = ratio1.T @ ratio1 / n_good
+    # Averages over the weighted rows, indexed from the leading component
+    # at m = 0: E[V_m^2 / den] and E[V_m^2 V_l^2 / den^2].
+    first_order /= n_good
+    cross /= n_good
     lhs = np.abs(cross[1:, 1:] / first_order[1:, None]
                  - cross[0, 1:] / first_order[0]).sum(axis=1)
     bound = np.minimum(1.0 / np.maximum(x, 1.0 / _BOUND_CAP), _BOUND_CAP)

@@ -157,8 +157,24 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
 
     Notes
     -----
-    The accumulation visits curves in index order so the result matches a
-    literal double-loop evaluation of the definition bit for bit.
+    The cross products are one contraction, ``np.einsum("ij,ik->jk")``
+    over the centred curves, which visits curves in index order, so the
+    result matches a literal double-loop evaluation of the definition bit
+    for bit.  Two conditions make that hold:
+
+    - The centred curves are C-contiguous, copied so when the sample is
+      not.  On a Fortran-ordered operand einsum makes the curve axis its
+      inner loop and sums it in another order; the column means, too,
+      are then sums in another order.
+    - numpy's einsum kernel rounds each product before adding it.  The
+      x86-64 builds, whose baseline has no fused multiply-add, do so; a
+      numpy whose baseline fuses them (aarch64, for one, not tested)
+      matches the loop only to rounding, and the exact tests fail there.
+
+    The contraction never goes through BLAS, whose blocked order differs.
+    A grid point where every curve has the same value is centred to
+    exactly zero, not to the rounding error of its mean, so identical
+    curves give the zero surface.
     """
     n = sample.n
     if n < 2:
@@ -167,11 +183,10 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     # Accumulate on the copy scaled by 2^-e, where the products cannot
     # overflow; scaling back is exact, and a surface beyond the float
     # range reads inf, which the surface rejects.
-    values, exponent = _unit_scale(sample.values)
+    values, exponent = _unit_scale(np.ascontiguousarray(sample.values))
     centered = values - values.mean(axis=0)
-    acc = np.zeros((sample.grid.n_points, sample.grid.n_points))
-    for row in centered:
-        acc += row[:, None] * row[None, :]
+    centered[:, values.min(axis=0) == values.max(axis=0)] = 0.0
+    acc = np.einsum("ij,ik->jk", centered, centered)
     with np.errstate(over="ignore"):
         return CovarianceSurface(np.ldexp(acc / (n - 1), 2 * exponent))
 
@@ -402,10 +417,13 @@ def spatial_median(sample: FunctionalSample, tol: float = 1e-8,
     Returns
     -------
     numpy.ndarray
-        The median curve on the grid.
+        The median curve on the grid.  When every curve coincides (one
+        curve, say) it is that curve, exactly, not an iterate within
+        rounding of it.
     """
-    if sample.n == 1:
-        return sample.values[0].copy()
+    first = sample.values[0]
+    if np.all(sample.values == first):
+        return first.copy()
     # Iterate on the copy scaled by 2^-e, where squared distances cannot
     # overflow; every step, the floors at 2^-e included, scales exactly.
     values, exponent = _unit_scale(sample.values)

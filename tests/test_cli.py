@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passfpca import FunctionalSample, cli, make_grid
+from passfpca import (
+    FunctionalSample,
+    SimulationConfig,
+    cli,
+    generate,
+    make_grid,
+)
 from passfpca.cli import (
     EXIT_ESTIMATION,
     EXIT_FORMAT,
@@ -303,17 +309,36 @@ def test_fit_classical_reports_eigenvalue_ratios(tmp_path):
     assert doc["ratios"][1] == pytest.approx(values[1] / values[0])
 
 
+def _identical_curves(tmp_path):
+    """Copies of one curve: three of 0..7, whose mean is exact, and 30 of a
+    simulated curve, whose mean is not."""
+    sample, _ = generate(SimulationConfig(n=30, seed=0))
+    for name, values in (("flat.csv", np.tile(np.arange(8.0), (3, 1))),
+                         ("copies.csv", np.tile(sample.values[0], (30, 1)))):
+        curves = tmp_path / name
+        write_curves_csv(str(curves), FunctionalSample(values))
+        yield curves
+
+
 def test_fit_classical_writes_null_for_undefined_ratios(tmp_path):
     # Identical curves have a zero covariance, so no ratio is defined.
-    curves = tmp_path / "flat.csv"
-    write_curves_csv(str(curves), FunctionalSample(
-        np.tile(np.arange(8.0), (3, 1))))
-    result = tmp_path / "fit.json"
-    assert _run("fit", "--input", str(curves), "--method", "classical",
-                "--eigenfunctions", str(tmp_path / "ef.csv"),
-                "--result", str(result)) == EXIT_OK
-    doc = json.loads(result.read_text())
-    assert doc["ratios"] is None
+    for curves in _identical_curves(tmp_path):
+        result = tmp_path / "fit.json"
+        assert _run("fit", "--input", str(curves), "--method", "classical",
+                    "--eigenfunctions", str(tmp_path / "ef.csv"),
+                    "--result", str(result)) == EXIT_OK
+        doc = json.loads(result.read_text())
+        assert doc["eigenvalues"] == [0.0] * doc["q"]
+        assert doc["ratios"] is None
+
+
+def test_fit_mspc_on_identical_curves_is_estimation_error(tmp_path, capsys):
+    # Every curve is the spatial median, so no sign is defined.
+    for curves in _identical_curves(tmp_path):
+        code = _run("fit", "--input", str(curves), "--method", "mspc",
+                    "--eigenfunctions", str(tmp_path / "ef.csv"))
+        assert code == EXIT_ESTIMATION
+        assert "spatial median" in capsys.readouterr().err
 
 
 def test_fit_mspc_rejects_surface_smoothing(tmp_path):

@@ -799,6 +799,37 @@ def test_convergence_condition_gaussian_margins_positive():
                                diagnostic.bound - diagnostic.lhs)
 
 
+def test_convergence_condition_scratch_stays_in_blocks_at_2000_curves():
+    # Whole-array temporaries cost 49 bytes per retained pair; summed over
+    # bounded blocks of rows, the scratch is a few megabytes.
+    _, system, scores = _gaussian_fit(n=2000, seed=12, trim=0.02)
+    x_star = eigenratio_mc(scores, system.eigenvalues).ratios[1:]
+    tracemalloc.start()
+    try:
+        convergence_condition(scores, x_star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * scores.squared.shape[0]
+
+
+def test_convergence_condition_blocks_match_whole_array_sums(monkeypatch):
+    # About a thousand blocks of rows against the sums over all rows at
+    # once; only the order of additions differs.
+    _, _, scores = _gaussian_fit(n=200, seed=42, trim=0.02)
+    x_star = np.array([0.5, 0.25, 0.125])
+    squared = scores.squared
+    weights = 1.0 / (squared @ np.concatenate(([1.0], x_star)))
+    first_order = weights @ squared
+    ratio1 = squared * weights[:, None]
+    cross = ratio1.T @ ratio1
+    lhs = np.abs(cross[1:, 1:] / first_order[1:, None]
+                 - cross[0, 1:] / first_order[0]).sum(axis=1)
+    monkeypatch.setattr(eigenratio, "_BLOCK_BYTES", 1000)
+    np.testing.assert_allclose(convergence_condition(scores, x_star).lhs,
+                               lhs, rtol=1e-12)
+
+
 def test_convergence_condition_cap_for_vanishing_component():
     rng = np.random.default_rng(6)
     scores = _synthetic_pairscores(rng, 10_000, 2)

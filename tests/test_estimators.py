@@ -113,6 +113,61 @@ def test_sample_covariance_is_exact_at_2_to_the_510():
     assert np.array_equal(big, np.ldexp(base, 1020))
 
 
+def _row_loop_covariance(values):
+    """The classical surface by one outer product per curve, added in
+    curve order: the reference the one contraction must match bit for
+    bit."""
+    values, exponent = estimators._unit_scale(values)
+    centered = values - values.mean(axis=0)
+    acc = np.zeros((values.shape[1], values.shape[1]))
+    for row in centered:
+        acc += row[:, None] * row[None, :]
+    return np.ldexp(acc / (values.shape[0] - 1), 2 * exponent)
+
+
+@pytest.mark.parametrize("n, n_points", [(600, 401), (2000, 101),
+                                         (200, 101), (50, 300)])
+def test_sample_covariance_matches_the_row_loop_bitwise(n, n_points):
+    # The perfbench shapes, and fewer curves than grid points.
+    rng = np.random.default_rng(n + n_points)
+    values = rng.standard_t(3, (n, n_points)) * 2.5 + 1.0
+    assert np.array_equal(sample_covariance(_sample(values)).matrix,
+                          _row_loop_covariance(values))
+
+
+def test_sample_covariance_ignores_memory_layout():
+    # A Fortran-ordered copy and strided views give the C-ordered
+    # sample's bits: einsum sums a Fortran operand's curve axis in
+    # another order, so the curves are first copied to C order.
+    rng = np.random.default_rng(8)
+    wide = rng.standard_normal((240, 2 * 61))
+    values = np.ascontiguousarray(wide[::2, ::2])
+    expected = _row_loop_covariance(values)
+    assert np.array_equal(sample_covariance(_sample(values)).matrix,
+                          expected)
+    for layout in (np.asfortranarray(values), wide[::2, ::2]):
+        sample = _sample(layout)
+        assert not sample.values.flags.c_contiguous
+        assert np.array_equal(sample_covariance(sample).matrix, expected)
+
+
+def test_sample_covariance_centres_constant_points_exactly():
+    # The mean of 30 copies of a value is not always that value, so
+    # centring leaves rounding noise unless constant points are zeroed.
+    sample, _ = generate(SimulationConfig(n=30, seed=0))
+    copies = np.tile(sample.values[0], (30, 1))
+    assert np.any(copies - copies.mean(axis=0) != 0.0)
+    assert not np.any(sample_covariance(_sample(copies)).matrix)
+    # One constant grid point among varying ones: its row and column
+    # are zero, and the rest is the row loop's.
+    values = sample.values.copy()
+    values[:, 7] = values[0, 7]
+    matrix = sample_covariance(_sample(values)).matrix
+    assert not np.any(matrix[7]) and not np.any(matrix[:, 7])
+    assert np.array_equal(np.delete(np.delete(matrix, 7, 0), 7, 1),
+                          _row_loop_covariance(np.delete(values, 7, 1)))
+
+
 def test_sample_covariance_recovers_spectrum():
     sample, _ = generate(SimulationConfig(n=800, seed=5))
     system = eigendecompose(sample_covariance(sample), 4)
@@ -532,6 +587,10 @@ def test_spatial_median_single_curve():
     curve = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
     median = spatial_median(_sample([curve]))
     np.testing.assert_allclose(median, curve)
+    # Coincident curves are their own median, exactly.
+    sample, _ = generate(SimulationConfig(n=30, seed=0))
+    copies = np.tile(sample.values[0], (30, 1))
+    assert np.array_equal(spatial_median(_sample(copies)), copies[0])
 
 
 def test_spatial_median_symmetric_sample():
@@ -603,6 +662,11 @@ def test_mspc_symmetric_pair_recovers_direction():
 def test_mspc_degenerate():
     with pytest.raises(DegenerateSampleError):
         mspc(_sample(np.ones((3, 5))), 1)
+    # Copies of a curve whose mean is inexact: the median is the curve
+    # itself, not a Weiszfeld iterate within rounding of it.
+    sample, _ = generate(SimulationConfig(n=30, seed=0))
+    with pytest.raises(DegenerateSampleError):
+        mspc(_sample(np.tile(sample.values[0], (30, 1))), 4)
     with pytest.raises(InsufficientSampleError):
         mspc(_sample([np.ones(5)]), 1)
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from passfpca import (
     OUTLIER_SCHEMES,
     SCORE_LAWS,
+    DegenerateSampleError,
     FunctionalSample,
+    InsufficientSampleError,
     Pipeline,
     SimulationConfig,
     SolverOptions,
@@ -180,6 +182,22 @@ def test_smooth_cf_starts_from_raw_curve_ratios(noisy):
     raw = pipeline.eigensystem("classical", None).eigenvalues
     np.testing.assert_array_equal(pipeline.classical_init(None),
                                   raw / raw[0])
+
+
+def test_identical_curves_have_zero_classical_spectrum_and_no_signs():
+    # Thirty copies of a curve whose column means are inexact: the
+    # classical eigenvalues are exactly zero, so the classical ratios are
+    # undefined, and every curve is the spatial median.
+    sample, _ = generate(SimulationConfig(n=30, seed=0))
+    pipeline = Pipeline(FunctionalSample(np.tile(sample.values[0], (30, 1))))
+    for scheme in (None, "pre_smooth"):
+        assert not np.any(
+            pipeline.eigensystem("classical", scheme).eigenvalues)
+    with pytest.raises(InsufficientSampleError):
+        pipeline.evaluate("classical_ratio")
+    assert pipeline.classical_init(None) is None
+    with pytest.raises(DegenerateSampleError, match="spatial median"):
+        pipeline.evaluate("mspc")
 
 
 def test_pairscores_expose_what_the_benchmark_tracer_reads():
