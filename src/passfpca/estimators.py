@@ -162,10 +162,10 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     result matches a literal double-loop evaluation of the definition bit
     for bit.  Two conditions make that hold:
 
-    - The centred curves are C-contiguous, copied so when the sample is
-      not.  On a Fortran-ordered operand einsum makes the curve axis its
-      inner loop and sums it in another order; the column means, too,
-      are then sums in another order.
+    - The centred curves are C-contiguous, as every sample's values are.
+      On a Fortran-ordered operand einsum makes the curve axis its inner
+      loop and sums it in another order; the column means, too, are then
+      sums in another order.
     - numpy's einsum kernel rounds each product before adding it.  The
       x86-64 builds, whose baseline has no fused multiply-add, do so; a
       numpy whose baseline fuses them (aarch64, for one, not tested)
@@ -183,7 +183,7 @@ def sample_covariance(sample: FunctionalSample) -> CovarianceSurface:
     # Accumulate on the copy scaled by 2^-e, where the products cannot
     # overflow; scaling back is exact, and a surface beyond the float
     # range reads inf, which the surface rejects.
-    values, exponent = _unit_scale(np.ascontiguousarray(sample.values))
+    values, exponent = _unit_scale(sample.values)
     centered = values - values.mean(axis=0)
     centered[:, values.min(axis=0) == values.max(axis=0)] = 0.0
     acc = np.einsum("ij,ik->jk", centered, centered)

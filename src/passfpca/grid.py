@@ -60,6 +60,9 @@ class FunctionalSample:
     values : numpy.ndarray
         Finite matrix of shape ``(n, N)`` with ``n >= 1`` and ``N >= 2``;
         row ``i`` holds curve ``x_i`` evaluated at the grid points.
+        Stored C-contiguous, copied so when the caller's array is not,
+        so that every estimator sums in one order and a sample's
+        estimates do not depend on the caller's memory layout.
     """
 
     values: np.ndarray = field(repr=False)
@@ -76,7 +79,7 @@ class FunctionalSample:
                 f"a sample needs at least 2 grid points, got {vals.shape[1]}")
         if not np.all(np.isfinite(vals)):
             raise DimensionMismatchError("curve values must all be finite")
-        self.values = vals
+        self.values = np.ascontiguousarray(vals)
 
     @property
     def n(self) -> int:

@@ -12,14 +12,19 @@ variance explained, ``PVE_1 = 1 / sum_j ratios_j``.
 seeded replicates, sharing each generated sample across methods (one
 :class:`~passfpca.pipeline.Pipeline` per sample), excluding failed
 replicates with counts, and producing a deterministic table for a given
-seed.
+seed.  On Linux it evaluates the replicates in forked worker processes,
+one per usable CPU, each with one BLAS thread; the table is that of a
+serial run with one BLAS thread.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .errors import (
     PassFpcaError,
 )
 from .estimators import EigenSystem
-from .grid import Grid, inner_product, l2_norm, make_grid
+from .grid import FunctionalSample, Grid, inner_product, l2_norm, make_grid
 from .pipeline import (
     EIGENFUNCTION_METHODS,
     Pipeline,
@@ -37,6 +42,9 @@ from .pipeline import (
     parse_method,
 )
 from .simulate import GroundTruth, SimulationConfig, fourier_truth, generate
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "ReplicationResult",
@@ -210,17 +218,43 @@ def _check_methods(methods: Sequence[str]) -> None:
         raise DimensionMismatchError(f"a method is repeated in {methods}")
 
 
+def _evaluate_replicate(sample: FunctionalSample, methods: Sequence[str],
+                        opts: SolverOptions) -> list:
+    """Every method's outcome on one replicate's sample, in method order:
+    the first eigenfunction or the ratio vector, or the cause of the
+    failure (error class name, or ``not_converged``)."""
+    pipeline = Pipeline(sample, opts)
+    outcomes = []
+    for method in methods:
+        try:
+            value = pipeline.evaluate(method)
+        except PassFpcaError as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        if isinstance(value, EigenSystem):
+            outcomes.append(value.eigenfunctions[:, 0])
+        elif value.converged:
+            outcomes.append(value.ratios)
+        else:
+            outcomes.append("not_converged")
+    return outcomes
+
+
 def collect_replicates(config: SimulationConfig, methods: Sequence[str],
                        replications: int, seed: int,
                        config_index: int = 0,
                        opts: Optional[SolverOptions] = None,
+                       executor: Optional[Executor] = None,
                        ) -> dict[str, ReplicationResult]:
     """Run every method on shared replicated samples of one
     configuration.
 
     Each replicate generates one sample (seeded independently of the
     method list), evaluates every method on it, and records failures
-    per method, by cause, without aborting the sweep.
+    per method, by cause, without aborting the sweep.  The samples are
+    generated here, in replicate order; with an ``executor`` they are
+    evaluated through its ``map``, which returns the outcomes in that
+    same order, so the results do not depend on where they were computed.
 
     Returns
     -------
@@ -234,23 +268,16 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
     _check_methods(methods)
     store: dict[str, list] = {m: [] for m in methods}
     reasons = {m: Counter() for m in methods}
-    for rep in range(replications):
-        rep_config = replace(config,
-                             seed=derive_seed(seed, config_index, rep))
-        sample, _ = generate(rep_config)
-        pipeline = Pipeline(sample, opts)
-        for method in methods:
-            try:
-                value = pipeline.evaluate(method)
-            except PassFpcaError as exc:
-                reasons[method][type(exc).__name__] += 1
-                continue
-            if isinstance(value, EigenSystem):
-                store[method].append(value.eigenfunctions[:, 0])
-            elif value.converged:
-                store[method].append(value.ratios)
+    samples = (generate(replace(config, seed=derive_seed(
+        seed, config_index, rep)))[0] for rep in range(replications))
+    evaluate = map if executor is None else executor.map
+    for outcomes in evaluate(_evaluate_replicate, samples, repeat(methods),
+                             repeat(opts)):
+        for method, outcome in zip(methods, outcomes):
+            if isinstance(outcome, str):
+                reasons[method][outcome] += 1
             else:
-                reasons[method]["not_converged"] += 1
+                store[method].append(outcome)
     results = {}
     for method in methods:
         stack = np.array(store[method]) if store[method] else None
@@ -262,6 +289,51 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
             failures=sum(reasons[method].values()),
             failure_reasons=dict(reasons[method]))
     return results
+
+
+# Thread-count setters of the OpenBLAS builds in numpy's wheels.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Limit a worker's OpenBLAS to one thread.
+
+    The workers already take every usable CPU; a BLAS thread more in
+    each would compete with them, and a waiting OpenBLAS thread spins.
+    A BLAS that is not OpenBLAS keeps its threads.
+    """
+    import ctypes
+
+    with open("/proc/self/maps") as handle:
+        paths = {line.split()[-1] for line in handle
+                 if "openblas" in line.lower()}
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter(1)
+                break
+
+
+def _replicate_pool(total: int) -> Optional[Executor]:
+    """A pool of ``min(usable CPUs, total)`` forked workers for
+    ``total`` replicates, or None, to evaluate in process, off Linux or
+    where one worker would do."""
+    if not sys.platform.startswith("linux"):
+        return None
+    workers = min(len(os.sched_getaffinity(0)), total)
+    if workers < 2:
+        return None
+    # Imported here, so that fit and ratio do not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_blas_thread)
 
 
 def run_benchmark(configs: Sequence[SimulationConfig],
@@ -291,24 +363,40 @@ def run_benchmark(configs: Sequence[SimulationConfig],
         One row per (configuration, method), in input order.  Rows whose
         every replicate failed carry None metrics and are flagged via
         ``failed``; the sweep itself never aborts.
+
+    Notes
+    -----
+    The replicates are evaluated in one pool of
+    ``min(usable CPUs, len(configs) * replications)`` forked worker
+    processes, each with one OpenBLAS thread, created once per sweep and
+    joined before the function returns or raises; with one usable CPU,
+    or off Linux, they are evaluated in process.  Each worker applies the
+    memory guards on its own, so the sweep can hold that many
+    replicates' pair layers at once.
     """
+    executor = _replicate_pool(len(configs) * replications)
     rows: list[BenchmarkRow] = []
-    for config_index, config in enumerate(configs):
-        grid = make_grid(config.n_points)
-        truth = fourier_truth(grid)
-        collected = collect_replicates(
-            config, methods, replications, seed,
-            config_index=config_index, opts=opts)
-        for method in methods:
-            result = collected[method]
-            mse = bias = pve_mse = None
-            if result.eigenfunctions is not None and len(result.eigenfunctions):
-                mse, bias = eigenfunction_mse(result, truth)
-            elif result.ratios is not None and len(result.ratios):
-                pve_mse = pve_error(result.ratios, truth.eigenvalues)
-            rows.append(BenchmarkRow(
-                config=config, method=method, mse=mse, bias=bias,
-                pve_mse=pve_mse, failures=result.failures,
-                replications=replications,
-                failure_reasons=result.failure_reasons))
+    try:
+        for config_index, config in enumerate(configs):
+            grid = make_grid(config.n_points)
+            truth = fourier_truth(grid)
+            collected = collect_replicates(
+                config, methods, replications, seed,
+                config_index=config_index, opts=opts, executor=executor)
+            for method in methods:
+                result = collected[method]
+                mse = bias = pve_mse = None
+                if (result.eigenfunctions is not None
+                        and len(result.eigenfunctions)):
+                    mse, bias = eigenfunction_mse(result, truth)
+                elif result.ratios is not None and len(result.ratios):
+                    pve_mse = pve_error(result.ratios, truth.eigenvalues)
+                rows.append(BenchmarkRow(
+                    config=config, method=method, mse=mse, bias=bias,
+                    pve_mse=pve_mse, failures=result.failures,
+                    replications=replications,
+                    failure_reasons=result.failure_reasons))
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
     return rows

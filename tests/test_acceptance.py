@@ -54,6 +54,7 @@ from passfpca import (
     sample_covariance,
     truth_pve,
 )
+from passfpca import metrics
 from passfpca.cli import main as cli_main
 
 MASTER_SEED = 12345
@@ -92,18 +93,30 @@ def benchmark_grid():
 
 
 @pytest.fixture(scope="session")
-def noisy_smoothing():
+def replicate_pool():
+    """One worker pool, built as run_benchmark builds its own, for the
+    sweeps below, which call collect_replicates directly; None, and
+    evaluation in process, where run_benchmark would not fork."""
+    pool = metrics._replicate_pool(200)
+    yield pool
+    if pool is not None:
+        pool.shutdown()
+
+
+@pytest.fixture(scope="session")
+def noisy_smoothing(replicate_pool):
     """Noisy heavy-tail cells: frechet scores, unit noise, both schemes."""
     truth = fourier_truth(make_grid(101))
     config = SimulationConfig(n=200, score_law="frechet", noise_sd=1.0,
                               seed=0)
     methods = ["pass@smooth_cf", "classical@smooth_cf", "pass@pre_smooth"]
-    results = collect_replicates(config, methods, 200, seed=MASTER_SEED)
+    results = collect_replicates(config, methods, 200, seed=MASTER_SEED,
+                                 executor=replicate_pool)
     return {m: eigenfunction_mse(results[m], truth)[0] for m in methods}
 
 
 @pytest.fixture(scope="session")
-def variance_share():
+def variance_share(replicate_pool):
     """Median error of the estimated first-component variance share, in
     percentage points, for every law and contamination scheme."""
     target = truth_pve([2.0, 1.0, 0.5, 0.25]) * 100.0
@@ -116,7 +129,8 @@ def variance_share():
             if scheme == "none" and law == "chisquare":
                 methods.append("pass_elliptical")
             results = collect_replicates(config, methods, 200,
-                                         seed=MASTER_SEED)
+                                         seed=MASTER_SEED,
+                                         executor=replicate_pool)
             cell = {}
             for method in methods:
                 pve = 100.0 / results[method].ratios.sum(axis=1)

@@ -18,6 +18,7 @@ from passfpca import (
     DimensionMismatchError,
     FunctionalSample,
     InsufficientSampleError,
+    Pipeline,
     SampleTooLargeError,
     SimulationConfig,
     eigendecompose,
@@ -138,7 +139,7 @@ def test_sample_covariance_matches_the_row_loop_bitwise(n, n_points):
 def test_sample_covariance_ignores_memory_layout():
     # A Fortran-ordered copy and strided views give the C-ordered
     # sample's bits: einsum sums a Fortran operand's curve axis in
-    # another order, so the curves are first copied to C order.
+    # another order, so the sample stores its curves in C order.
     rng = np.random.default_rng(8)
     wide = rng.standard_normal((240, 2 * 61))
     values = np.ascontiguousarray(wide[::2, ::2])
@@ -146,9 +147,29 @@ def test_sample_covariance_ignores_memory_layout():
     assert np.array_equal(sample_covariance(_sample(values)).matrix,
                           expected)
     for layout in (np.asfortranarray(values), wide[::2, ::2]):
+        assert not layout.flags.c_contiguous
         sample = _sample(layout)
-        assert not sample.values.flags.c_contiguous
+        assert sample.values.flags.c_contiguous
         assert np.array_equal(sample_covariance(sample).matrix, expected)
+    # Every other stage, too: when a sample kept a Fortran-ordered copy
+    # as it was, these outputs moved by up to 1.0e-15.
+    sample, _ = generate(SimulationConfig(
+        n=200, seed=3, score_law="lognormal", outlier_scheme="ol2",
+        noise_sd=0.5))
+    padded = np.zeros((sample.n, 2 * sample.grid.n_points))
+    padded[:, ::2] = sample.values
+    methods = ("pass", "pass_mc", "pass_elliptical", "mspc")
+    expected = [Pipeline(sample).evaluate(m) for m in methods]
+    for layout in (np.asfortranarray(sample.values), padded[:, ::2]):
+        pipeline = Pipeline(_sample(layout))
+        for method, want in zip(methods, expected):
+            got = pipeline.evaluate(method)
+            for name in ("eigenvalues", "eigenfunctions", "ratios",
+                         "iterations", "final_delta"):
+                if hasattr(want, name):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)), (method,
+                                                                 name)
 
 
 def test_sample_covariance_centres_constant_points_exactly():

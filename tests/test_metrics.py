@@ -1,5 +1,12 @@
 """Tests for error metrics and the replication harness."""
 
+import ctypes
+import faulthandler
+import multiprocessing
+import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -292,3 +299,158 @@ def test_benchmark_row_failed_property():
     ok = BenchmarkRow(config=config, method="pass", mse=0.01, bias=0.001,
                       pve_mse=None, failures=1, replications=4)
     assert not ok.failed
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+_forks = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                            reason="replicates run in process off Linux")
+
+
+@pytest.fixture
+def hang_timeout():
+    """Ends the test run, with every thread's stack, if a sweep hangs."""
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _openblas_function(names):
+    """The first of ``names`` that the loaded OpenBLAS exports, or None."""
+    with open("/proc/self/maps") as handle:
+        paths = {line.split()[-1] for line in handle
+                 if "openblas" in line.lower()}
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for name in names:
+            if hasattr(library, name):
+                return getattr(library, name)
+    return None
+
+
+def _blas_threads():
+    """The loaded OpenBLAS's thread count, or -1 if it cannot be read."""
+    getter = _openblas_function(("scipy_openblas_get_num_threads64_",
+                                 "openblas_get_num_threads64_",
+                                 "openblas_get_num_threads"))
+    return -1 if getter is None else getter()
+
+
+class _PidLoggingPipeline(metrics.Pipeline):
+    """Appends the evaluating process's id and BLAS thread count to
+    ``path``, once per replicate."""
+
+    path = None
+
+    def __init__(self, sample, opts):
+        super().__init__(sample, opts)
+        with open(self.path, "a") as handle:
+            handle.write(f"{os.getpid()} {_blas_threads()}\n")
+
+
+@_forks
+def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
+        monkeypatch, tmp_path, hang_timeout):
+    # Replicate 2 of the second setting is identical curves, on which
+    # every PASS method and mspc fail; the classical methods succeed.
+    # The serial run has one BLAS thread, as each worker has: more
+    # OpenBLAS threads can round the PASS surface differently
+    # (docs/schema.md).
+    degenerate_seed = derive_seed(6, 1, 2)
+
+    def generate(config):
+        sample, truth = real_generate(config)
+        if config.seed == degenerate_seed:
+            sample = FunctionalSample(np.tile(sample.values[0],
+                                              (sample.n, 1)))
+        return sample, truth
+
+    real_generate = metrics.generate
+    monkeypatch.setattr(metrics, "generate", generate)
+    monkeypatch.setattr(metrics, "Pipeline", _PidLoggingPipeline)
+    configs = [SimulationConfig(n=40, noise_sd=0.5, seed=0),
+               SimulationConfig(n=40, score_law="lognormal",
+                                outlier_scheme="ol2", seed=0)]
+    methods = ["pass@pre_smooth", "pass@smooth_cf", "classical", "mspc",
+               "pass_mc", "pass_elliptical@smooth_cf", "classical_ratio"]
+    runs, logs = {}, {}
+    for workers in (1, 2):
+        _usable_cpus(monkeypatch, workers)
+        path = tmp_path / f"pids{workers}"
+        monkeypatch.setattr(_PidLoggingPipeline, "path", path)
+        saved = _blas_threads()
+        setter = _openblas_function(metrics._BLAS_THREAD_SETTERS)
+        try:
+            if workers == 1:
+                metrics._one_blas_thread()
+            runs[workers] = run_benchmark(configs, methods, 3, seed=6)
+        finally:
+            if setter is not None:
+                setter(saved)
+        logs[workers] = [line.split()
+                         for line in path.read_text().splitlines()]
+    assert len(logs[1]) == len(logs[2]) == 6
+    assert {pid for pid, _ in logs[1]} == {str(os.getpid())}
+    pids = {pid for pid, _ in logs[2]}
+    assert str(os.getpid()) not in pids and len(pids) <= 2
+    # The workers take the CPUs; each runs one BLAS thread.
+    assert {threads for _, threads in logs[2]} <= {"1", "-1"}
+    fields = ("config", "method", "mse", "bias", "pve_mse", "failures",
+              "replications", "failure_reasons")
+    for serial, pooled in zip(runs[1], runs[2], strict=True):
+        for name in fields:
+            # Bitwise: the same floats, not merely close ones.
+            assert repr(getattr(serial, name)) == repr(getattr(pooled, name))
+    by_cell = {(row.config.score_law, row.method): row for row in runs[2]}
+    assert by_cell[("lognormal", "pass@smooth_cf")].failure_reasons == {
+        "DegenerateSampleError": 1}
+    assert by_cell[("lognormal", "classical")].failure_reasons == {}
+
+
+class _RaisingPipeline(metrics.Pipeline):
+    def evaluate(self, method):
+        raise ValueError("not an estimation error")
+
+
+class _ExitingPipeline(metrics.Pipeline):
+    parent = None
+
+    def __init__(self, sample, opts):
+        # Never end the test process itself.
+        if os.getpid() != self.parent:
+            os._exit(3)
+        super().__init__(sample, opts)
+
+
+@_forks
+def test_run_benchmark_leaves_no_worker_behind(monkeypatch, hang_timeout):
+    _usable_cpus(monkeypatch, 2)
+    # Pools other tests keep for the session are not this sweep's.
+    before = set(multiprocessing.active_children())
+
+    def workers_left():
+        return set(multiprocessing.active_children()) - before
+
+    configs = [SimulationConfig(n=30, seed=0)] * 2
+    rows = run_benchmark(configs, ["pass", "pass_mc"], 2, seed=1)
+    assert len(rows) == 4
+    assert workers_left() == set()
+    # An error that is not an estimation error ends the sweep, and the
+    # caller sees it.
+    monkeypatch.setattr(metrics, "Pipeline", _RaisingPipeline)
+    with pytest.raises(ValueError, match="not an estimation error"):
+        run_benchmark(configs, ["pass"], 2, seed=1)
+    assert workers_left() == set()
+    # A worker that dies breaks the pool; the sweep raises, not hangs.
+    monkeypatch.setattr(_ExitingPipeline, "parent", os.getpid())
+    monkeypatch.setattr(metrics, "Pipeline", _ExitingPipeline)
+    with pytest.raises(BrokenProcessPool):
+        run_benchmark(configs, ["pass"], 2, seed=1)
+    assert workers_left() == set()
+

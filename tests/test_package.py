@@ -60,6 +60,19 @@ def test_fit_call_loads_no_numpy_ma(tmp_path):
     assert [m for m in added if m.split(".")[:2] == ["numpy", "ma"]] == []
 
 
+def test_fit_call_loads_no_process_pool(tmp_path):
+    # Only bench evaluates in worker processes, and it imports the pool
+    # itself; fit and ratio pay nothing for it.
+    loaded = _modules_after(
+        "from passfpca.cli import main\n"
+        "main(['simulate', '--n', '30', '--seed', '1', '--out', 'c.csv'])\n"
+        "assert main(['fit', '--input', 'c.csv', "
+        "'--eigenfunctions', 'ef.csv']) == 0", cwd=tmp_path)
+    assert "passfpca.cli" in loaded
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
 def _package_trees():
     directory = os.path.dirname(passfpca.__file__)
     trees = {}
