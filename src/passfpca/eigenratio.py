@@ -246,6 +246,18 @@ def _pair_sq_diffs(column: np.ndarray, out: np.ndarray) -> None:
     np.square(out, out=out)
 
 
+def _pair_score_bytes(n: int, q: int) -> int:
+    """Bytes :func:`pair_scores` needs for ``n`` curves and ``q``
+    components.
+
+    The P x q scores and joint mask, plus a column's partition copy or
+    retained gather and one more mask: 8q + 10 bytes a pair.  A fill's
+    gather takes 24 bytes a pair among the last min(n, 256) rows.
+    """
+    n_tail = min(n, _TAIL_ROWS)
+    return n * (n - 1) // 2 * (8 * q + 10) + 12 * n_tail * (n_tail - 1)
+
+
 def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
                 q: int, trim_fraction: float = 0.02) -> PairScores:
     """Project all pairwise curve differences onto the leading
@@ -297,11 +309,7 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         raise InsufficientSampleError(
             f"no curve pair is left after trimming: {n} curves, "
             f"trim_fraction {trim_fraction}")
-    # The P x q scores and joint mask, plus a column's partition copy or
-    # retained gather and one more mask: 8q + 10 bytes a pair.  A fill's
-    # gather takes 24 bytes a pair among the last min(n, 256) rows.
-    n_tail = min(n, _TAIL_ROWS)
-    _check_memory(n_pairs * (8 * q + 10) + 12 * n_tail * (n_tail - 1),
+    _check_memory(_pair_score_bytes(n, q),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
     # squares cannot overflow; the scores are ratios and do not change.

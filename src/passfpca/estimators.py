@@ -213,6 +213,14 @@ def _check_memory(n_bytes: int, what: str) -> None:
             f"than the {available / 2 ** 30:.1f} GiB of physical memory")
 
 
+def _pair_weight_bytes(n: int, n_points: int) -> int:
+    """Bytes :func:`pass_covariance` needs for ``n`` curves on
+    ``n_points``: the ``n x n`` squared pair norms, turned into the
+    weights in place; at most five ``n x N`` arrays at the Laplacian
+    product; a block's scratch."""
+    return 8 * n * n + 40 * n * n_points + 3 * _BLOCK_BYTES
+
+
 def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Scale ``values`` by the power of two ``2^-e`` that takes
     ``max |x|`` into [0.5, 1), where squared pair norms cannot overflow.
@@ -291,10 +299,8 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     if n < 2:
         raise InsufficientSampleError(
             f"pairwise covariance needs at least 2 curves, got {n}")
-    # The n x n squared pair norms, turned into the weights in place; at
-    # most five n x N arrays at the Laplacian product; a block's scratch.
-    _check_memory(8 * n * n + 40 * n * sample.grid.n_points
-                  + 3 * _BLOCK_BYTES, f"the pair weights of {n} curves")
+    _check_memory(_pair_weight_bytes(n, sample.grid.n_points),
+                  f"the pair weights of {n} curves")
     # PASS is scale-invariant, so the exact rescale changes nothing.
     values, _ = _unit_scale(sample.values)
     spacing = sample.grid.spacing

@@ -13,18 +13,20 @@ seeded replicates, sharing each generated sample across methods (one
 :class:`~passfpca.pipeline.Pipeline` per sample), excluding failed
 replicates with counts, and producing a deterministic table for a given
 seed.  On Linux it evaluates the replicates in forked worker processes,
-one per usable CPU, each with one BLAS thread; the table is that of a
-serial run with one BLAS thread.
+one per usable CPU as far as physical memory allows, each with one
+OpenBLAS thread; evaluating in process, it also uses one OpenBLAS
+thread, so the table does not depend on where it was computed.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from .errors import (
     InsufficientSampleError,
     PassFpcaError,
 )
-from .estimators import EigenSystem
+from .eigenratio import _pair_score_bytes
+from .estimators import EigenSystem, _pair_weight_bytes, _physical_memory
 from .grid import FunctionalSample, Grid, inner_product, l2_norm, make_grid
 from .pipeline import (
     EIGENFUNCTION_METHODS,
@@ -253,8 +256,9 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
     method list), evaluates every method on it, and records failures
     per method, by cause, without aborting the sweep.  The samples are
     generated here, in replicate order; with an ``executor`` they are
-    evaluated through its ``map``, which returns the outcomes in that
-    same order, so the results do not depend on where they were computed.
+    evaluated through it, at most twice the usable CPUs' samples ahead
+    of the outcomes, which come back in that same order, so the results
+    do not depend on where they were computed.
 
     Returns
     -------
@@ -270,9 +274,12 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
     reasons = {m: Counter() for m in methods}
     samples = (generate(replace(config, seed=derive_seed(
         seed, config_index, rep)))[0] for rep in range(replications))
-    evaluate = map if executor is None else executor.map
-    for outcomes in evaluate(_evaluate_replicate, samples, repeat(methods),
-                             repeat(opts)):
+    if executor is None:
+        evaluated = map(_evaluate_replicate, samples, repeat(methods),
+                        repeat(opts))
+    else:
+        evaluated = _evaluate_in_order(executor, samples, methods, opts)
+    for outcomes in evaluated:
         for method, outcome in zip(methods, outcomes):
             if isinstance(outcome, str):
                 reasons[method][outcome] += 1
@@ -291,49 +298,155 @@ def collect_replicates(config: SimulationConfig, methods: Sequence[str],
     return results
 
 
-# Thread-count setters of the OpenBLAS builds in numpy's wheels.
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _evaluate_in_order(executor: Executor,
+                       samples: Iterator[FunctionalSample],
+                       methods: Sequence[str], opts: SolverOptions,
+                       ) -> Iterator[list]:
+    """:func:`_evaluate_replicate` over ``samples`` through ``executor``,
+    in sample order.
+
+    ``Executor.map`` would draw every sample before returning the first
+    result; here a sample is drawn only while fewer than twice the
+    usable CPUs' are awaiting theirs, which keeps every worker busy and
+    the calling process's memory bounded.
+    """
+    ahead = 2 * _usable_cpus()
+    pending: deque = deque()
+    try:
+        for sample in samples:
+            pending.append(executor.submit(_evaluate_replicate, sample,
+                                           methods, opts))
+            if len(pending) >= ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+# Thread-count getters and setters of the OpenBLAS builds in numpy's
+# wheels.
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
+                        "openblas_get_num_threads64_",
+                        "openblas_get_num_threads")
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
                         "openblas_set_num_threads64_",
                         "openblas_set_num_threads")
 
 
+def _openblas_thread_controls() -> list:
+    """The thread-count getter and setter of every OpenBLAS mapped into
+    this process, found in ``/proc/self/maps``; none where that file is
+    missing."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as handle:
+            lines = handle.readlines()
+    except OSError:
+        return []
+    paths = set()
+    for line in lines:
+        fields = line.split(maxsplit=5)
+        # An unlinked library is mapped as "path (deleted)"; it cannot
+        # be opened by name.
+        if (len(fields) == 6 and fields[5].startswith("/")
+                and "openblas" in os.path.basename(fields[5]).lower()
+                and not fields[5].rstrip().endswith(" (deleted)")):
+            paths.add(fields[5].rstrip())
+    controls = []
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        getter = next((getattr(library, name)
+                       for name in _BLAS_THREAD_GETTERS
+                       if hasattr(library, name)), None)
+        setter = next((getattr(library, name)
+                       for name in _BLAS_THREAD_SETTERS
+                       if hasattr(library, name)), None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            controls.append((getter, setter))
+    return controls
+
+
 def _one_blas_thread() -> None:
-    """Limit a worker's OpenBLAS to one thread.
+    """Limit this process's OpenBLAS to one thread.
 
     The workers already take every usable CPU; a BLAS thread more in
     each would compete with them, and a waiting OpenBLAS thread spins.
     A BLAS that is not OpenBLAS keeps its threads.
     """
-    import ctypes
-
-    with open("/proc/self/maps") as handle:
-        paths = {line.split()[-1] for line in handle
-                 if "openblas" in line.lower()}
-    for path in sorted(paths):
-        library = ctypes.CDLL(path)
-        for symbol in _BLAS_THREAD_SETTERS:
-            setter = getattr(library, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter(1)
-                break
+    for _, setter in _openblas_thread_controls():
+        setter(1)
 
 
-def _replicate_pool(total: int) -> Optional[Executor]:
-    """A pool of ``min(usable CPUs, total)`` forked workers for
-    ``total`` replicates, or None, to evaluate in process, off Linux or
-    where one worker would do."""
-    if not sys.platform.startswith("linux"):
-        return None
-    workers = min(len(os.sched_getaffinity(0)), total)
-    if workers < 2:
-        return None
+@contextmanager
+def _one_blas_thread_here() -> Iterator[None]:
+    """Run the block with one OpenBLAS thread, as a worker runs, and give
+    the caller's thread counts back after it."""
+    controls = _openblas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    _one_blas_thread()
+    try:
+        yield
+    finally:
+        for (_, setter), threads in zip(controls, saved):
+            setter(threads)
+
+
+def _replicate_bytes(config: SimulationConfig, opts: SolverOptions) -> int:
+    """The memory guards' estimate for one replicate of ``config``: its
+    PASS pair weights and its pair projections, as if held at once."""
+    return (_pair_weight_bytes(config.n, config.n_points)
+            + _pair_score_bytes(config.n, opts.q))
+
+
+def _pool_workers(configs: Sequence[SimulationConfig], replications: int,
+                  opts: SolverOptions) -> int:
+    """Workers for a sweep: one per usable CPU and at most one per
+    replicate, and no more than fit in physical memory together at the
+    largest setting's per-replicate estimate."""
+    workers = min(_usable_cpus(), len(configs) * replications)
+    memory = _physical_memory()
+    if memory is not None and configs:
+        per_replicate = max(_replicate_bytes(config, opts)
+                            for config in configs)
+        workers = min(workers, memory // per_replicate)
+    return workers
+
+
+@contextmanager
+def _replicate_pool(configs: Sequence[SimulationConfig], replications: int,
+                    opts: SolverOptions) -> Iterator[Optional[Executor]]:
+    """A pool of :func:`_pool_workers` forked workers, each with one
+    OpenBLAS thread, shut down and joined when the block exits; or None,
+    to evaluate in process with one OpenBLAS thread, off Linux or where
+    fewer than two workers would do."""
+    workers = _pool_workers(configs, replications, opts)
+    if not sys.platform.startswith("linux") or workers < 2:
+        with _one_blas_thread_here():
+            yield None
+        return
     # Imported here, so that fit and ratio do not pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(
+    executor = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_one_blas_thread)
+    try:
+        yield executor
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 def run_benchmark(configs: Sequence[SimulationConfig],
@@ -369,14 +482,16 @@ def run_benchmark(configs: Sequence[SimulationConfig],
     The replicates are evaluated in one pool of
     ``min(usable CPUs, len(configs) * replications)`` forked worker
     processes, each with one OpenBLAS thread, created once per sweep and
-    joined before the function returns or raises; with one usable CPU,
-    or off Linux, they are evaluated in process.  Each worker applies the
-    memory guards on its own, so the sweep can hold that many
-    replicates' pair layers at once.
+    joined before the function returns or raises.  Each worker applies
+    the memory guards on its own, so the pool is cut to as many workers
+    as the largest setting's pair layers fit in physical memory
+    together.  Where fewer than two workers remain, or off Linux, the
+    replicates are evaluated in process, with one OpenBLAS thread for
+    the sweep and the caller's thread count restored after it.
     """
-    executor = _replicate_pool(len(configs) * replications)
+    opts = opts or SolverOptions()
     rows: list[BenchmarkRow] = []
-    try:
+    with _replicate_pool(configs, replications, opts) as executor:
         for config_index, config in enumerate(configs):
             grid = make_grid(config.n_points)
             truth = fourier_truth(grid)
@@ -396,7 +511,4 @@ def run_benchmark(configs: Sequence[SimulationConfig],
                     pve_mse=pve_mse, failures=result.failures,
                     replications=replications,
                     failure_reasons=result.failure_reasons))
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
     return rows

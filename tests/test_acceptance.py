@@ -37,6 +37,7 @@ from passfpca import (
     FunctionalSample,
     PairScores,
     SimulationConfig,
+    SolverOptions,
     collect_replicates,
     convergence_condition,
     cpve,
@@ -97,10 +98,9 @@ def replicate_pool():
     """One worker pool, built as run_benchmark builds its own, for the
     sweeps below, which call collect_replicates directly; None, and
     evaluation in process, where run_benchmark would not fork."""
-    pool = metrics._replicate_pool(200)
-    yield pool
-    if pool is not None:
-        pool.shutdown()
+    with metrics._replicate_pool([SimulationConfig(n=200, seed=0)], 200,
+                                 SolverOptions()) as pool:
+        yield pool
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
 """Tests for error metrics and the replication harness."""
 
-import ctypes
 import faulthandler
 import multiprocessing
 import os
 import sys
+from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -321,29 +321,15 @@ def _usable_cpus(monkeypatch, count):
                         lambda pid: set(range(count)))
 
 
-def _openblas_function(names):
-    """The first of ``names`` that the loaded OpenBLAS exports, or None."""
-    with open("/proc/self/maps") as handle:
-        paths = {line.split()[-1] for line in handle
-                 if "openblas" in line.lower()}
-    for path in sorted(paths):
-        library = ctypes.CDLL(path)
-        for name in names:
-            if hasattr(library, name):
-                return getattr(library, name)
-    return None
-
-
 def _blas_threads():
-    """The loaded OpenBLAS's thread count, or -1 if it cannot be read."""
-    getter = _openblas_function(("scipy_openblas_get_num_threads64_",
-                                 "openblas_get_num_threads64_",
-                                 "openblas_get_num_threads"))
-    return -1 if getter is None else getter()
+    """Every loaded OpenBLAS's thread count, as "1" or "1,1"; "none"
+    where no OpenBLAS is loaded."""
+    counts = [getter() for getter, _ in metrics._openblas_thread_controls()]
+    return ",".join(map(str, counts)) or "none"
 
 
 class _PidLoggingPipeline(metrics.Pipeline):
-    """Appends the evaluating process's id and BLAS thread count to
+    """Appends the evaluating process's id and BLAS thread counts to
     ``path``, once per replicate."""
 
     path = None
@@ -359,9 +345,8 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
         monkeypatch, tmp_path, hang_timeout):
     # Replicate 2 of the second setting is identical curves, on which
     # every PASS method and mspc fail; the classical methods succeed.
-    # The serial run has one BLAS thread, as each worker has: more
-    # OpenBLAS threads can round the PASS surface differently
-    # (docs/schema.md).
+    # Both runs must use one BLAS thread: more OpenBLAS threads can
+    # round the PASS surface differently (docs/schema.md).
     degenerate_seed = derive_seed(6, 1, 2)
 
     def generate(config):
@@ -380,27 +365,33 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
     methods = ["pass@pre_smooth", "pass@smooth_cf", "classical", "mspc",
                "pass_mc", "pass_elliptical@smooth_cf", "classical_ratio"]
     runs, logs = {}, {}
-    for workers in (1, 2):
-        _usable_cpus(monkeypatch, workers)
-        path = tmp_path / f"pids{workers}"
-        monkeypatch.setattr(_PidLoggingPipeline, "path", path)
-        saved = _blas_threads()
-        setter = _openblas_function(metrics._BLAS_THREAD_SETTERS)
-        try:
-            if workers == 1:
-                metrics._one_blas_thread()
+    controls = metrics._openblas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    try:
+        # The caller's own BLAS threads, which the in-process sweep
+        # must not use and must give back.
+        for _, setter in controls:
+            setter(2)
+        callers = _blas_threads()
+        for workers in (1, 2):
+            _usable_cpus(monkeypatch, workers)
+            path = tmp_path / f"pids{workers}"
+            monkeypatch.setattr(_PidLoggingPipeline, "path", path)
             runs[workers] = run_benchmark(configs, methods, 3, seed=6)
-        finally:
-            if setter is not None:
-                setter(saved)
-        logs[workers] = [line.split()
-                         for line in path.read_text().splitlines()]
+            assert _blas_threads() == callers
+            logs[workers] = [line.split()
+                             for line in path.read_text().splitlines()]
+    finally:
+        for (_, setter), threads in zip(controls, saved):
+            setter(threads)
     assert len(logs[1]) == len(logs[2]) == 6
     assert {pid for pid, _ in logs[1]} == {str(os.getpid())}
     pids = {pid for pid, _ in logs[2]}
     assert str(os.getpid()) not in pids and len(pids) <= 2
-    # The workers take the CPUs; each runs one BLAS thread.
-    assert {threads for _, threads in logs[2]} <= {"1", "-1"}
+    # In process and in each worker, every replicate runs one BLAS
+    # thread.
+    for _, threads in logs[1] + logs[2]:
+        assert threads == "none" or set(threads.split(",")) == {"1"}
     fields = ("config", "method", "mse", "bias", "pve_mse", "failures",
               "replications", "failure_reasons")
     for serial, pooled in zip(runs[1], runs[2], strict=True):
@@ -454,3 +445,77 @@ def test_run_benchmark_leaves_no_worker_behind(monkeypatch, hang_timeout):
         run_benchmark(configs, ["pass"], 2, seed=1)
     assert workers_left() == set()
 
+
+
+class _LoggedFuture(Future):
+    """A future that logs -1 to ``log`` when its result is read."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def result(self, timeout=None):
+        self.log.append(-1)
+        return super().result(timeout)
+
+
+class _InlineExecutor(Executor):
+    """Runs each task when it is submitted, in the calling process."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = _LoggedFuture(self.log)
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def test_collect_replicates_draws_few_samples_ahead_of_the_results(
+        monkeypatch):
+    # Executor.map would submit, and so draw, all 12 samples before the
+    # first result is read.
+    _usable_cpus(monkeypatch, 2)
+    log = []
+
+    def generate(config):
+        log.append(1)
+        return real_generate(config)
+
+    real_generate = metrics.generate
+    monkeypatch.setattr(metrics, "generate", generate)
+    config = SimulationConfig(n=20, seed=0)
+    results = collect_replicates(config, ["pass", "classical_ratio"], 12,
+                                 seed=4, executor=_InlineExecutor(log))
+    assert len(results["pass"].eigenfunctions) == 12
+    assert log.count(1) == log.count(-1) == 12
+    ahead = np.cumsum(log)
+    assert ahead.max() == 2 * 2
+    serial = collect_replicates(config, ["pass", "classical_ratio"], 12,
+                                seed=4)
+    assert np.array_equal(serial["pass"].eigenfunctions,
+                          results["pass"].eigenfunctions)
+    assert np.array_equal(serial["classical_ratio"].ratios,
+                          results["classical_ratio"].ratios)
+
+
+def test_pool_workers_fit_in_physical_memory(monkeypatch):
+    _usable_cpus(monkeypatch, 4)
+    opts = SolverOptions()
+    small, large = (SimulationConfig(n=50, seed=0),
+                    SimulationConfig(n=400, n_points=51, seed=0))
+    per_replicate = metrics._replicate_bytes(large, opts)
+    assert per_replicate > metrics._replicate_bytes(small, opts)
+    cases = [(None, 4), (10 * per_replicate, 4), (3 * per_replicate, 3),
+             (2 * per_replicate - 1, 1), (per_replicate // 2, 0)]
+    for memory, workers in cases:
+        monkeypatch.setattr(metrics, "_physical_memory", lambda: memory)
+        assert metrics._pool_workers([small, large], 5, opts) == workers
+    # One replicate in all needs no second worker.
+    monkeypatch.setattr(metrics, "_physical_memory", lambda: None)
+    assert metrics._pool_workers([large], 1, opts) == 1
+    # Where two do not fit, the sweep runs in process.
+    monkeypatch.setattr(metrics, "_physical_memory",
+                        lambda: 2 * per_replicate - 1)
+    with metrics._replicate_pool([small, large], 5, opts) as pool:
+        assert pool is None
