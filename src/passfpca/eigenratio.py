@@ -16,10 +16,11 @@ closed one-dimensional integral valid under elliptical scores
 (:func:`convergence_condition`) checks the contraction condition that
 guarantees the iteration converges near the fixed point.
 
-Each fixed-point step evaluates all ``q`` expectations in one array
-expression: a matrix-vector product over the joint pairs, whose all-zero
-rows are dropped once, or a trapezoid sum in ``s = log v`` (step 0.25,
-exact to rounding; Trefethen & Weideman 2014, *SIAM Rev.* 56).  Both
+Each fixed-point step evaluates all ``q`` expectations at once: by
+matrix-vector products over blocks of the joint pairs, whose all-zero
+rows are dropped once, with one reused vector of block weights as
+scratch, or by a trapezoid sum in ``s = log v`` (step 0.25, exact to
+rounding; Trefethen & Weideman 2014, *SIAM Rev.* 56).  Both
 solvers share one loop, which accelerates the plain fixed-point map ``G``
 by depth-3 Anderson mixing (Walker & Ni 2011, *SIAM J. Numer. Anal.*
 49).  An estimate's ``iterations`` counts evaluations of ``G``, one per
@@ -84,7 +85,9 @@ class PairScores:
     ``s_l^{-1/2} <x_i - x_j, phi_l>`` under the grid quadrature.  The
     standardizer ``s_l`` is the mean squared projection over the pairs
     retained after trimming, so retained squared scores average to one in
-    each column.  Only the pairs retained in every component are kept,
+    each column; :func:`pair_scores` takes it as the column's sum with the
+    trimmed entries zeroed, over the number retained.  Only the pairs
+    retained in every component are kept,
     and the constructor drops their all-zero rows, which weigh nothing in
     any expectation; it raises :class:`DegenerateSampleError` when no row
     is left.  The scores are stored component-major (Fortran order), one
@@ -188,28 +191,92 @@ def _pack_rows(squared: np.ndarray, keep: np.ndarray,
     """The rows of ``squared`` at ``keep``, F-contiguous at the front of
     the 1-d ``flat``, which may be ``squared``'s own F-ordered buffer:
     column ``l``'s ``kept`` rows go to ``[l * kept, (l + 1) * kept)``,
-    which ends before column ``l + 1`` starts.  The column view reads
-    the mask as is; ``squared[keep, col]`` would expand it to int64
-    indices."""
-    kept, q = np.count_nonzero(keep), squared.shape[1]
+    which ends before column ``l + 1`` starts.  Each column moves in
+    blocks of :func:`_block_rows` rows, so the gathers' scratch stays
+    bounded; a block's kept rows never land past its own start.  The
+    column view reads the mask as is; ``squared[keep, col]`` would
+    expand it to int64 indices."""
+    kept, (size, q) = np.count_nonzero(keep), squared.shape
+    rows = _block_rows()
     for col in range(q):
-        flat[col * kept:(col + 1) * kept] = squared[:, col][keep]
+        column, pos = squared[:, col], col * kept
+        for start in range(0, size, rows):
+            moved = column[start:start + rows][keep[start:start + rows]]
+            flat[pos:pos + moved.size] = moved
+            pos += moved.size
     return flat[:kept * q].reshape((kept, q), order="F")
 
 
-def _trim_largest(magnitudes: np.ndarray, n_trim: int,
-                  retained: np.ndarray) -> None:
-    """Clear ``retained`` at the ``n_trim`` largest ``magnitudes``.
+def _block_rows() -> int:
+    """Rows per block of the packing and solver loops, whose float
+    scratch, ``_BLOCK_BYTES / 32`` bytes, stays within the pair layer's
+    third byte a pair from n = 600 up."""
+    return max(1, _BLOCK_BYTES // 256)
 
-    Ties at the threshold go to the highest indices, the choice of a
-    stable ascending sort, found by a partition instead of a sort.
+
+def _sample_stride(size: int) -> int:
+    """Stride of the sample that bounds a selection among ``size``
+    values: about ``size ** (2/3)`` of them, the sample size of Floyd &
+    Rivest (1975, *CACM* 18)."""
+    return max(1, round(size ** (1.0 / 3.0)))
+
+
+def _largest_indices(values: np.ndarray, count: int) -> np.ndarray:
+    """Ascending indices of the ``count`` largest ``values``, with ties
+    at the threshold going to the highest indices: the last ``count``
+    of a stable ascending argsort, found without copying ``values``.
+
+    A strided sample gives a bound that about ``count`` values exceed,
+    with a margin of three binomial deviations (Floyd & Rivest 1975,
+    *CACM* 18).  The margin widens until at least ``count`` values
+    exceed the bound, and only those candidates are partitioned for the
+    exact threshold, so the scratch is about ``count`` indices and
+    floats.  When the values at the bound make up the count, the bound
+    is the threshold, and a scan from the end picks its ties; a mass of
+    equal values, such as the zeros of coincident curves, then never
+    becomes candidates.
     """
-    cut = magnitudes.size - n_trim
-    threshold = np.partition(magnitudes, cut)[cut]
-    above = magnitudes > threshold
-    retained[above] = False
-    ties = np.flatnonzero(magnitudes == threshold)
-    retained[ties[ties.size - (n_trim - np.count_nonzero(above)):]] = False
+    size = values.size
+    sample = values[::_sample_stride(size)]
+    expected = count * sample.size / size
+    margin = 3.0 * math.sqrt(expected) + 1.0
+    while True:
+        rank = math.ceil(expected + margin)
+        bound = (np.partition(sample, sample.size - rank)[sample.size - rank]
+                 if rank < sample.size else -math.inf)
+        candidates = np.flatnonzero(values > bound)
+        if candidates.size >= count:
+            break
+        if candidates.size + np.count_nonzero(values == bound) >= count:
+            return np.union1d(candidates, _last_equal(
+                values, bound, count - candidates.size))
+        margin *= 4.0
+    picked = values[candidates]
+    cut = picked.size - count
+    picked.partition(cut)
+    threshold = picked[cut]
+    # The indices are in range; mode "raise" would buffer the output.
+    values.take(candidates, out=picked, mode="clip")
+    cleared = picked > threshold
+    ties = np.flatnonzero(picked == threshold)
+    del picked
+    cleared[ties[ties.size - (count - np.count_nonzero(cleared)):]] = True
+    return candidates[cleared]
+
+
+def _last_equal(values: np.ndarray, target: float,
+                count: int) -> np.ndarray:
+    """Indices of the last ``count`` entries of ``values`` equal to
+    ``target``, of which there are at least ``count``, scanned from the
+    end in blocks of :func:`_block_rows` rows."""
+    rows, end, found = _block_rows(), values.size, []
+    while count > 0:
+        start = max(0, end - rows)
+        at = np.flatnonzero(values[start:end] == target)[-count:] + start
+        found.append(at)
+        count -= at.size
+        end = start
+    return np.concatenate(found)
 
 
 # Rows whose pairs are filled by one gather rather than a slice each.
@@ -246,16 +313,22 @@ def _pair_sq_diffs(column: np.ndarray, out: np.ndarray) -> None:
     np.square(out, out=out)
 
 
-def _pair_score_bytes(n: int, q: int) -> int:
-    """Bytes :func:`pair_scores` needs for ``n`` curves and ``q``
-    components.
+def _pair_score_bytes(n: int, q: int, trim_fraction: float) -> int:
+    """Bytes :func:`pair_scores` and the solver over its result need for
+    ``n`` curves, ``q`` components and ``trim_fraction``.
 
-    The P x q scores and joint mask, plus a column's partition copy or
-    retained gather and one more mask: 8q + 10 bytes a pair.  A fill's
-    gather takes 24 bytes a pair among the last min(n, 256) rows.
+    The P x q scores and the joint mask, plus two masks while the
+    jointly retained rows are found: 8q + 3 bytes a pair.  On top comes
+    the larger of two transients that are never alive together: a
+    fill's gather, 24 bytes a pair among the last min(n, 256) rows, and
+    a selection's candidate indices and values, about 24 bytes a trimmed
+    pair.  The packing and solver blocks stay within the third byte.
     """
+    n_pairs = n * (n - 1) // 2
     n_tail = min(n, _TAIL_ROWS)
-    return n * (n - 1) // 2 * (8 * q + 10) + 12 * n_tail * (n_tail - 1)
+    return n_pairs * (8 * q + 3) + max(
+        12 * n_tail * (n_tail - 1),
+        24 * math.ceil(trim_fraction * n_pairs))
 
 
 def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
@@ -272,6 +345,11 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     ``P x q`` array with its squared pair projections, then trims the
     column, takes its standardizer and divides by it in place; the
     jointly retained rows that are not all zero go to the array's front.
+    No P-long float array is made beside it: the trimmed pairs are
+    selected among candidates above a sampled bound, zeroed in the
+    column and cleared in the joint mask, so the standardizer, the mean
+    over the retained pairs, is the zeroed column's sum over their
+    number; the kept rows move in bounded blocks.
 
     Parameters
     ----------
@@ -309,7 +387,7 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         raise InsufficientSampleError(
             f"no curve pair is left after trimming: {n} curves, "
             f"trim_fraction {trim_fraction}")
-    _check_memory(_pair_score_bytes(n, q),
+    _check_memory(_pair_score_bytes(n, q, trim_fraction),
                   f"the pair projections of {n} curves")
     # Projections scale with the curves, so on the scaled copy their
     # squares cannot overflow; the scores are ratios and do not change.
@@ -326,17 +404,19 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     for col in range(q):
         column = squared[:, col]
         _pair_sq_diffs(curve_proj[col], column)
-        retained = np.ones(n_pairs, dtype=bool)
         if n_trim > 0:
-            _trim_largest(column, n_trim, retained)
-        joint_mask &= retained
-        s = float(np.mean(column[retained]))
+            # Zeroed, the trimmed pairs add nothing to the sum below;
+            # they leave the joint rows through the mask.
+            trimmed = _largest_indices(column, n_trim)
+            column[trimmed] = 0.0
+            joint_mask[trimmed] = False
+            del trimmed
+        s = float(column.sum()) / (n_pairs - n_trim)
         if s <= 0.0:
             raise DegenerateSampleError(
                 f"component {col}: all pair projections are zero")
         standardizers[col] = s
         column /= s
-    del retained
     # Pairs of coincident curves score zero in every component and go
     # too; if no row is left, the joint rows (none, or all zero) go to
     # the constructor, which says which.
@@ -344,6 +424,7 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     keep &= joint_mask
     squared = _pack_rows(squared, keep if keep.any() else joint_mask,
                          squared.reshape(-1, order="F"))
+    del keep  # the constructor's own scan of the rows needs its room
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)
@@ -475,13 +556,21 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
             f"pairscores have {pairscores.q} components but "
             f"{q} eigenvalues were supplied")
     squared = pairscores.squared
+    n_rows = squared.shape[0]
+    rows = _block_rows()
+    scratch = np.empty(min(rows, n_rows))
 
     def f_eval(lam: np.ndarray) -> np.ndarray:
         # Iterates stay positive with lam[0] == 1, so every row's
-        # denominator V_1^2 + sum_{l>=2} lam_l V_l^2 does too.
-        weights = squared @ lam
-        np.reciprocal(weights, out=weights)
-        return (weights @ squared) / squared.shape[0]
+        # denominator V_1^2 + sum_{l>=2} lam_l V_l^2 does too.  The
+        # weights of a block of rows reuse one scratch vector.
+        total = np.zeros(q)
+        for start in range(0, n_rows, rows):
+            block = squared[start:start + rows]
+            weights = np.matmul(block, lam, out=scratch[:block.shape[0]])
+            np.reciprocal(weights, out=weights)
+            total += weights @ block
+        return total / n_rows
 
     return _run_fixed_point(f_eval, kappa_ratios, start, tol, max_iter)
 

@@ -408,7 +408,7 @@ def _replicate_bytes(config: SimulationConfig, opts: SolverOptions) -> int:
     """The memory guards' estimate for one replicate of ``config``: its
     PASS pair weights and its pair projections, as if held at once."""
     return (_pair_weight_bytes(config.n, config.n_points)
-            + _pair_score_bytes(config.n, opts.q))
+            + _pair_score_bytes(config.n, opts.q, opts.trim_fraction))
 
 
 def _pool_workers(configs: Sequence[SimulationConfig], replications: int,

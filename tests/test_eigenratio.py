@@ -113,15 +113,19 @@ def test_pair_scores_column_means_without_trimming():
     np.testing.assert_allclose(means, 1.0, atol=1e-10)
 
 
-def test_pair_scores_trim_counts():
+def test_pair_scores_trim_counts(monkeypatch):
     sample, system, _ = _gaussian_fit(n=40, seed=9)
     n_pairs = 40 * 39 // 2
-    for fraction in (0.01, 0.05, 0.1):
-        scores = pair_scores(sample, system, 4, trim_fraction=fraction)
-        _, retained = _assert_matches_reference(
-            scores, sample, system.eigenfunctions, fraction)
-        expected = math.ceil(fraction * n_pairs)
-        np.testing.assert_array_equal((~retained).sum(axis=0), expected)
+    # The kept rows move in one block of a column, then in eight.
+    for block_bytes in (eigenratio._BLOCK_BYTES, 256 * 100):
+        monkeypatch.setattr(eigenratio, "_BLOCK_BYTES", block_bytes)
+        for fraction in (0.01, 0.05, 0.1):
+            scores = pair_scores(sample, system, 4, trim_fraction=fraction)
+            _, retained = _assert_matches_reference(
+                scores, sample, system.eigenfunctions, fraction)
+            expected = math.ceil(fraction * n_pairs)
+            np.testing.assert_array_equal((~retained).sum(axis=0),
+                                          expected)
 
 
 def test_pair_scores_trimmed_are_the_largest():
@@ -156,6 +160,71 @@ def test_pair_scores_trim_matches_stable_sort_on_ties(
     except DegenerateSampleError:
         return
     _assert_matches_reference(scores, sample, basis, trim_fraction)
+
+
+def _selection_columns(size):
+    """Columns that stress the selection's bound: ties everywhere, a
+    mass of zeros, sorted runs, and one whose strided sample reads high,
+    so that the first bound admits too few candidates."""
+    rng = np.random.default_rng(size)
+    mostly_zero = np.zeros(size)
+    spread = rng.choice(size, size // 50, replace=False)
+    mostly_zero[spread] = rng.integers(1, 4, spread.size)
+    # Every sampled offset holds 2.0 and the largest values, 5.0, sit
+    # only at offsets the sample skips.  Every rank of the sample gives
+    # the bound 2.0, which fewer than n_trim = 0.1 * size values reach,
+    # so the bound must widen past the sample.
+    sampled = np.zeros(size, dtype=bool)
+    sampled[::eigenratio._sample_stride(size)] = True
+    widening = np.where(sampled, 2.0, 1.0)
+    widening[np.flatnonzero(~sampled)[::97]] = 5.0
+    assert np.count_nonzero(widening >= 2.0) < math.ceil(0.1 * size)
+    return {"all_equal": np.full(size, 0.25),
+            "mostly_zero": mostly_zero,
+            "ascending": np.arange(size, dtype=float),
+            "descending": np.arange(size, 0, -1, dtype=float),
+            "widening": widening}
+
+
+@pytest.mark.parametrize("block_rows", [None, 100])
+@pytest.mark.parametrize("size", [4950, 19_900])
+def test_selection_matches_stable_sort(monkeypatch, size, block_rows):
+    # The cleared set is the last n_trim of a stable ascending argsort:
+    # ties at the threshold go to the highest indices, also when the
+    # scan for them from the end crosses blocks of 100 rows.
+    if block_rows is not None:
+        monkeypatch.setattr(eigenratio, "_BLOCK_BYTES", 256 * block_rows)
+    for name, column in _selection_columns(size).items():
+        before = column.copy()
+        for count in (1, math.ceil(0.02 * size), math.ceil(0.1 * size),
+                      size - 1):
+            order = np.argsort(column, kind="stable")
+            expected = np.sort(order[size - count:])
+            cleared = eigenratio._largest_indices(column, count)
+            np.testing.assert_array_equal(cleared, expected,
+                                          err_msg=f"{name}, {count}")
+        np.testing.assert_array_equal(column, before)
+
+
+def test_selection_scratch_stays_small_on_a_mass_of_ties():
+    # 99% zeros, as from coincident curves, with the threshold at zero:
+    # the zeros it clears are found by a scan from the end and never
+    # become candidates, which would take 16 bytes a value.
+    size = 1_000_000
+    nonzero = np.sort(np.random.default_rng(8).choice(size, size // 100,
+                                                      replace=False))
+    column = np.zeros(size)
+    column[nonzero] = 1.0
+    tracemalloc.start()
+    try:
+        cleared = eigenratio._largest_indices(column, size // 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
+    zeros = np.flatnonzero(column == 0.0)
+    np.testing.assert_array_equal(cleared, np.union1d(
+        nonzero, zeros[zeros.size - size // 100:]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 600, 2000])
@@ -202,8 +271,8 @@ def test_pair_scores_fails_fast_on_huge_samples(monkeypatch):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("q, trim", [(1, 0.0), (1, 0.02), (4, 0.0),
-                                     (4, 0.02)])
+@pytest.mark.parametrize("q, trim", [(1, 0.0), (1, 0.02), (1, 0.1),
+                                     (4, 0.0), (4, 0.02), (4, 0.1)])
 def test_pair_scores_memory_estimate_covers_the_traced_peak(
         monkeypatch, q, trim):
     sample, _ = generate(SimulationConfig(n=600, seed=12))
@@ -226,8 +295,8 @@ def test_pair_scores_memory_estimate_covers_the_traced_peak(
 def test_pair_scores_memory_estimate_covers_the_peak_at_2000_curves(
         monkeypatch, q):
     # Here the tail gather's slack is under half a byte a pair, so the
-    # estimate must cover every P-long array alive at the peak: without
-    # trimming, the retained gather is P floats.
+    # estimate must cover every P-long array alive at the peak: the two
+    # masks that find the jointly retained rows, beside the scores.
     sample, _ = generate(SimulationConfig(n=2000, seed=12))
     system = eigendecompose(pass_covariance(sample), 4)
     estimates = []
@@ -538,8 +607,9 @@ def _drawn_pairscores(seed, n_pairs, q, law):
 
 
 def test_mc_step_matches_quotient_mean(monkeypatch):
-    # eigenratio_mc's step is a matrix-vector product; it must agree
-    # with the quotient's column means to rounding.
+    # eigenratio_mc's step sums matrix-vector products over blocks of
+    # rows; it must agree with the quotient's column means to rounding,
+    # in one block and in four blocks of 700 rows and a remainder of 200.
     captured = []
     run = eigenratio._run_fixed_point
 
@@ -549,14 +619,31 @@ def test_mc_step_matches_quotient_mean(monkeypatch):
 
     monkeypatch.setattr(eigenratio, "_run_fixed_point", record)
     rng = np.random.default_rng(12)
-    for law in ("gaussian", "t3", "lognormal"):
-        scores = _drawn_pairscores(5, 3000, 4, law)
-        eigenratio_mc(scores, np.array([0.4, 0.3, 0.2, 0.1]))
-        reference = _quotient_mean_expectations(scores.squared)
-        for _ in range(5):
-            lam = np.concatenate(([1.0], np.exp(rng.uniform(-5, 3, 3))))
-            np.testing.assert_allclose(captured[-1](lam), reference(lam),
-                                       rtol=1e-13, atol=0.0)
+    for block_bytes in (eigenratio._BLOCK_BYTES, 256 * 700):
+        monkeypatch.setattr(eigenratio, "_BLOCK_BYTES", block_bytes)
+        for law in ("gaussian", "t3", "lognormal"):
+            scores = _drawn_pairscores(5, 3000, 4, law)
+            eigenratio_mc(scores, np.array([0.4, 0.3, 0.2, 0.1]))
+            reference = _quotient_mean_expectations(scores.squared)
+            for _ in range(5):
+                lam = np.concatenate(
+                    ([1.0], np.exp(rng.uniform(-5, 3, 3))))
+                np.testing.assert_allclose(captured[-1](lam),
+                                           reference(lam), rtol=1e-13,
+                                           atol=0.0)
+
+
+def test_eigenratio_mc_scratch_stays_in_blocks_at_2000_curves():
+    # A whole-array step takes a weight per retained pair, about 15 MB
+    # here; over blocks of rows, one reused vector is the scratch.
+    _, system, scores = _gaussian_fit(n=2000, seed=12, trim=0.02)
+    tracemalloc.start()
+    try:
+        eigenratio_mc(scores, system.eigenvalues)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * estimators._BLOCK_BYTES
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
