@@ -32,6 +32,7 @@ evaluated; the returned ratios are ``G(x)``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -214,11 +215,22 @@ def _block_rows() -> int:
     return max(1, _BLOCK_BYTES // 256)
 
 
-def _sample_stride(size: int) -> int:
-    """Stride of the sample that bounds a selection among ``size``
-    values: about ``size ** (2/3)`` of them, the sample size of Floyd &
-    Rivest (1975, *CACM* 18)."""
-    return max(1, round(size ** (1.0 / 3.0)))
+@lru_cache(maxsize=8)
+def _sample_offsets(size: int) -> np.ndarray:
+    """Sorted offsets of the sample that bounds a selection among
+    ``size`` values: about ``size ** (2/3)`` of them, the sample size of
+    Floyd & Rivest (1975, *CACM* 18), drawn with replacement from a
+    fixed seed, so that no layout of the values lines up with them as
+    it can with a stride; cached, since a size recurs.  The bits come
+    from Python's generator: loading ``numpy.random`` would add about
+    5 MB to the process."""
+    count = round(size ** (2.0 / 3.0))
+    bits = random.Random(0).getrandbits(64 * count)
+    offsets = np.frombuffer(bits.to_bytes(8 * count, "little"),
+                            dtype=np.uint64) % np.uint64(size)
+    offsets.sort()
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _largest_indices(values: np.ndarray, count: int) -> np.ndarray:
@@ -226,9 +238,9 @@ def _largest_indices(values: np.ndarray, count: int) -> np.ndarray:
     at the threshold going to the highest indices: the last ``count``
     of a stable ascending argsort, found without copying ``values``.
 
-    A strided sample gives a bound that about ``count`` values exceed,
-    with a margin of three binomial deviations (Floyd & Rivest 1975,
-    *CACM* 18).  The margin widens until at least ``count`` values
+    A pseudo-random sample gives a bound that about ``count`` values
+    exceed, with a margin of three binomial deviations (Floyd & Rivest
+    1975, *CACM* 18).  The margin widens until at least ``count`` values
     exceed the bound, and only those candidates are partitioned for the
     exact threshold, so the scratch is about ``count`` indices and
     floats.  When the values at the bound make up the count, the bound
@@ -237,7 +249,7 @@ def _largest_indices(values: np.ndarray, count: int) -> np.ndarray:
     becomes candidates.
     """
     size = values.size
-    sample = values[::_sample_stride(size)]
+    sample = values[_sample_offsets(size)]
     expected = count * sample.size / size
     margin = 3.0 * math.sqrt(expected) + 1.0
     while True:

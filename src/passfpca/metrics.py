@@ -13,9 +13,9 @@ seeded replicates, sharing each generated sample across methods (one
 :class:`~passfpca.pipeline.Pipeline` per sample), excluding failed
 replicates with counts, and producing a deterministic table for a given
 seed.  On Linux it evaluates the replicates in forked worker processes,
-one per usable CPU as far as physical memory allows, each with one
-OpenBLAS thread; evaluating in process, it also uses one OpenBLAS
-thread, so the table does not depend on where it was computed.
+one per usable CPU as far as physical memory allows and at least one,
+each with one OpenBLAS thread, so the table does not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -390,20 +390,6 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
-@contextmanager
-def _one_blas_thread_here() -> Iterator[None]:
-    """Run the block with one OpenBLAS thread, as a worker runs, and give
-    the caller's thread counts back after it."""
-    controls = _openblas_thread_controls()
-    saved = [getter() for getter, _ in controls]
-    _one_blas_thread()
-    try:
-        yield
-    finally:
-        for (_, setter), threads in zip(controls, saved):
-            setter(threads)
-
-
 def _replicate_bytes(config: SimulationConfig, opts: SolverOptions) -> int:
     """The memory guards' estimate for one replicate of ``config``: its
     PASS pair weights and its pair projections, as if held at once."""
@@ -428,20 +414,18 @@ def _pool_workers(configs: Sequence[SimulationConfig], replications: int,
 @contextmanager
 def _replicate_pool(configs: Sequence[SimulationConfig], replications: int,
                     opts: SolverOptions) -> Iterator[Optional[Executor]]:
-    """A pool of :func:`_pool_workers` forked workers, each with one
-    OpenBLAS thread, shut down and joined when the block exits; or None,
-    to evaluate in process with one OpenBLAS thread, off Linux or where
-    fewer than two workers would do."""
-    workers = _pool_workers(configs, replications, opts)
-    if not sys.platform.startswith("linux") or workers < 2:
-        with _one_blas_thread_here():
-            yield None
+    """On Linux, a pool of :func:`_pool_workers` forked workers, and at
+    least one, each with one OpenBLAS thread, shut down and joined when
+    the block exits; elsewhere None, to evaluate in process."""
+    if not sys.platform.startswith("linux"):
+        yield None
         return
     # Imported here, so that fit and ratio do not pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     executor = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
+        max(1, _pool_workers(configs, replications, opts)),
+        mp_context=multiprocessing.get_context("fork"),
         initializer=_one_blas_thread)
     try:
         yield executor
@@ -479,15 +463,14 @@ def run_benchmark(configs: Sequence[SimulationConfig],
 
     Notes
     -----
-    The replicates are evaluated in one pool of
+    On Linux the replicates are evaluated in one pool of
     ``min(usable CPUs, len(configs) * replications)`` forked worker
     processes, each with one OpenBLAS thread, created once per sweep and
     joined before the function returns or raises.  Each worker applies
     the memory guards on its own, so the pool is cut to as many workers
     as the largest setting's pair layers fit in physical memory
-    together.  Where fewer than two workers remain, or off Linux, the
-    replicates are evaluated in process, with one OpenBLAS thread for
-    the sweep and the caller's thread count restored after it.
+    together, but never below one.  Off Linux the replicates are
+    evaluated in process, with the caller's BLAS threads.
     """
     opts = opts or SolverOptions()
     rows: list[BenchmarkRow] = []

@@ -96,8 +96,8 @@ def benchmark_grid():
 @pytest.fixture(scope="session")
 def replicate_pool():
     """One worker pool, built as run_benchmark builds its own, for the
-    sweeps below, which call collect_replicates directly; None, and
-    evaluation in process, where run_benchmark would not fork."""
+    sweeps below, which call collect_replicates directly; None off
+    Linux, where run_benchmark evaluates in process."""
     with metrics._replicate_pool([SimulationConfig(n=200, seed=0)], 200,
                                  SolverOptions()) as pool:
         yield pool

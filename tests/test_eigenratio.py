@@ -164,8 +164,8 @@ def test_pair_scores_trim_matches_stable_sort_on_ties(
 
 def _selection_columns(size):
     """Columns that stress the selection's bound: ties everywhere, a
-    mass of zeros, sorted runs, and one whose strided sample reads high,
-    so that the first bound admits too few candidates."""
+    mass of zeros, sorted runs, and one whose sample reads high, so
+    that the first bound admits too few candidates."""
     rng = np.random.default_rng(size)
     mostly_zero = np.zeros(size)
     spread = rng.choice(size, size // 50, replace=False)
@@ -175,7 +175,7 @@ def _selection_columns(size):
     # the bound 2.0, which fewer than n_trim = 0.1 * size values reach,
     # so the bound must widen past the sample.
     sampled = np.zeros(size, dtype=bool)
-    sampled[::eigenratio._sample_stride(size)] = True
+    sampled[eigenratio._sample_offsets(size)] = True
     widening = np.where(sampled, 2.0, 1.0)
     widening[np.flatnonzero(~sampled)[::97]] = 5.0
     assert np.count_nonzero(widening >= 2.0) < math.ceil(0.1 * size)
@@ -206,13 +206,10 @@ def test_selection_matches_stable_sort(monkeypatch, size, block_rows):
         np.testing.assert_array_equal(column, before)
 
 
-def test_selection_scratch_stays_small_on_a_mass_of_ties():
-    # 99% zeros, as from coincident curves, with the threshold at zero:
-    # the zeros it clears are found by a scan from the end and never
-    # become candidates, which would take 16 bytes a value.
-    size = 1_000_000
-    nonzero = np.sort(np.random.default_rng(8).choice(size, size // 100,
-                                                      replace=False))
+def _assert_small_selection_among_zeros(nonzero, size):
+    """Ones at ``nonzero`` among ``size`` zeros, with 2% to clear: the
+    threshold is zero, and the selection's traced peak stays under 3
+    bytes a value."""
     column = np.zeros(size)
     column[nonzero] = 1.0
     tracemalloc.start()
@@ -224,7 +221,24 @@ def test_selection_scratch_stays_small_on_a_mass_of_ties():
     assert peak < 3 * size
     zeros = np.flatnonzero(column == 0.0)
     np.testing.assert_array_equal(cleared, np.union1d(
-        nonzero, zeros[zeros.size - size // 100:]))
+        nonzero, zeros[zeros.size - (size // 50 - nonzero.size):]))
+
+
+def test_selection_scratch_stays_small_on_a_mass_of_ties():
+    # 99% zeros, as from coincident curves, with the threshold at zero:
+    # the zeros it clears are found by a scan from the end and never
+    # become candidates, which would take 16 bytes a value.
+    size = 1_000_000
+    _assert_small_selection_among_zeros(np.sort(np.random.default_rng(
+        8).choice(size, size // 100, replace=False)), size)
+
+
+def test_selection_scratch_stays_small_on_values_at_a_stride():
+    # Ones at every 100th offset: a sample taken at a stride of 100
+    # would read only ones and widen its bound to -inf, which makes
+    # every value a candidate.
+    size = 1_000_000
+    _assert_small_selection_among_zeros(np.arange(0, size, 100), size)
 
 
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 600, 2000])

@@ -29,7 +29,7 @@ from passfpca import (
     run_benchmark,
     truth_pve,
 )
-from passfpca import metrics
+from passfpca import estimators, metrics
 
 _GRID = make_grid(101)
 _TRUTH = fourier_truth(_GRID)
@@ -345,7 +345,7 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
         monkeypatch, tmp_path, hang_timeout):
     # Replicate 2 of the second setting is identical curves, on which
     # every PASS method and mspc fail; the classical methods succeed.
-    # Both runs must use one BLAS thread: more OpenBLAS threads can
+    # Every worker must use one BLAS thread: more OpenBLAS threads can
     # round the PASS surface differently (docs/schema.md).
     degenerate_seed = derive_seed(6, 1, 2)
 
@@ -356,8 +356,17 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
                                               (sample.n, 1)))
         return sample, truth
 
+    pins = tmp_path / "pins"
+
+    def one_blas_thread():
+        with open(pins, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        real_one_blas_thread()
+
     real_generate = metrics.generate
+    real_one_blas_thread = metrics._one_blas_thread
     monkeypatch.setattr(metrics, "generate", generate)
+    monkeypatch.setattr(metrics, "_one_blas_thread", one_blas_thread)
     monkeypatch.setattr(metrics, "Pipeline", _PidLoggingPipeline)
     configs = [SimulationConfig(n=40, noise_sd=0.5, seed=0),
                SimulationConfig(n=40, score_law="lognormal",
@@ -368,8 +377,7 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
     controls = metrics._openblas_thread_controls()
     saved = [getter() for getter, _ in controls]
     try:
-        # The caller's own BLAS threads, which the in-process sweep
-        # must not use and must give back.
+        # The caller's own BLAS threads, which no sweep may use or set.
         for _, setter in controls:
             setter(2)
         callers = _blas_threads()
@@ -385,11 +393,15 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
         for (_, setter), threads in zip(controls, saved):
             setter(threads)
     assert len(logs[1]) == len(logs[2]) == 6
-    assert {pid for pid, _ in logs[1]} == {str(os.getpid())}
-    pids = {pid for pid, _ in logs[2]}
-    assert str(os.getpid()) not in pids and len(pids) <= 2
-    # In process and in each worker, every replicate runs one BLAS
-    # thread.
+    # With one usable CPU, one forked worker evaluates every replicate.
+    caller = str(os.getpid())
+    pids = {workers: {pid for pid, _ in logs[workers]} for workers in logs}
+    assert len(pids[1]) == 1 and len(pids[2]) <= 2
+    assert caller not in pids[1] | pids[2]
+    # Only the workers pin their BLAS threads, each to one thread; the
+    # caller's are never set.
+    pinned = set(pins.read_text().split())
+    assert caller not in pinned and pids[1] | pids[2] <= pinned
     for _, threads in logs[1] + logs[2]:
         assert threads == "none" or set(threads.split(",")) == {"1"}
     fields = ("config", "method", "mse", "bias", "pve_mse", "failures",
@@ -402,6 +414,31 @@ def test_run_benchmark_rows_do_not_depend_on_the_worker_count(
     assert by_cell[("lognormal", "pass@smooth_cf")].failure_reasons == {
         "DegenerateSampleError": 1}
     assert by_cell[("lognormal", "classical")].failure_reasons == {}
+
+
+@_forks
+def test_run_benchmark_runs_one_worker_where_no_replicate_fits(
+        monkeypatch, tmp_path, hang_timeout):
+    # Half of one replicate's guard estimates fits in the patched
+    # memory: the pool still has one worker, whose memory guards fail
+    # every replicate, and the sweep counts each failure.
+    _usable_cpus(monkeypatch, 2)
+    before = set(multiprocessing.active_children())
+    config = SimulationConfig(n=30, seed=0)
+    memory = metrics._replicate_bytes(config, SolverOptions()) // 2
+    monkeypatch.setattr(metrics, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(estimators, "_physical_memory", lambda: memory)
+    path = tmp_path / "pids"
+    monkeypatch.setattr(_PidLoggingPipeline, "path", path)
+    monkeypatch.setattr(metrics, "Pipeline", _PidLoggingPipeline)
+    rows = run_benchmark([config] * 2, ["pass", "pass_mc"], 3, seed=2)
+    assert len(rows) == 4
+    for row in rows:
+        assert row.failed
+        assert row.failure_reasons == {"SampleTooLargeError": 3}
+    pids = {line.split()[0] for line in path.read_text().splitlines()}
+    assert len(pids) == 1 and str(os.getpid()) not in pids
+    assert set(multiprocessing.active_children()) - before == set()
 
 
 class _RaisingPipeline(metrics.Pipeline):
@@ -499,6 +536,7 @@ def test_collect_replicates_draws_few_samples_ahead_of_the_results(
                           results["classical_ratio"].ratios)
 
 
+@_forks
 def test_pool_workers_fit_in_physical_memory(monkeypatch):
     _usable_cpus(monkeypatch, 4)
     opts = SolverOptions()
@@ -514,8 +552,8 @@ def test_pool_workers_fit_in_physical_memory(monkeypatch):
     # One replicate in all needs no second worker.
     monkeypatch.setattr(metrics, "_physical_memory", lambda: None)
     assert metrics._pool_workers([large], 1, opts) == 1
-    # Where two do not fit, the sweep runs in process.
-    monkeypatch.setattr(metrics, "_physical_memory",
-                        lambda: 2 * per_replicate - 1)
-    with metrics._replicate_pool([small, large], 5, opts) as pool:
-        assert pool is None
+    # Where two do not fit, or not even one, the pool has one worker.
+    for memory in (2 * per_replicate - 1, per_replicate // 2):
+        monkeypatch.setattr(metrics, "_physical_memory", lambda: memory)
+        with metrics._replicate_pool([small, large], 5, opts) as pool:
+            assert pool._max_workers == 1
