@@ -358,7 +358,9 @@ def _load_bench_config(path: str) -> dict:
         if "n" not in setting:
             raise _FormatError(
                 f"{path}: settings[{index}] is missing required key 'n'")
-    solver = document.get("solver") or {}
+    solver = document.get("solver")
+    if solver is None:
+        solver = document["solver"] = {}
     if not isinstance(solver, dict):
         raise _FormatError(f"{path}: 'solver' must be a mapping")
     unknown = set(solver) - _SOLVER_KEYS
@@ -397,7 +399,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         configs = [SimulationConfig(seed=0, **setting)
                    for setting in document["settings"]]
-        opts = SolverOptions(**(document.get("solver") or {}))
+        opts = SolverOptions(**document["solver"])
         _check_methods(methods)
     except (PassFpcaError, TypeError) as exc:
         raise _FormatError(f"{args.config}: invalid setting: {exc}") from None

@@ -88,13 +88,14 @@ class PairScores:
     retained after trimming, so retained squared scores average to one in
     each column; :func:`pair_scores` takes it as the column's sum with the
     trimmed entries zeroed, over the number retained.  Only the pairs
-    retained in every component are kept,
-    and the constructor drops their all-zero rows, which weigh nothing in
-    any expectation; it raises :class:`DegenerateSampleError` when no row
-    is left.  The scores are stored component-major (Fortran order), one
-    contiguous column per component for the solvers' products; the
-    constructor copies a caller's array into that layout in the same
-    single copy that drops zero rows, and never writes to it.
+    retained in every component are kept, and no row is all zero:
+    :func:`pair_scores` drops those rows, which weigh nothing in any
+    expectation, and :func:`eigenratio_mc` rejects a hand-built layer
+    that has one.  The constructor raises :class:`DegenerateSampleError`
+    when there is no row.  The scores are stored component-major
+    (Fortran order), one contiguous column per component for the
+    solvers' products; the constructor copies a caller's array of
+    another layout into that one, and never writes to it.
 
     Attributes
     ----------
@@ -114,17 +115,10 @@ class PairScores:
     joint_mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        squared = self.squared
-        if squared.shape[0] == 0:
+        if self.squared.shape[0] == 0:
             raise DegenerateSampleError(
                 "no pair is retained in every component; lower trim_fraction")
-        nonzero = _nonzero_rows(squared)
-        if not nonzero.any():
-            raise DegenerateSampleError(
-                "all retained pairs have zero projection norm")
-        if not (nonzero.all() and squared.flags.f_contiguous):
-            self.squared = _pack_rows(squared, nonzero,
-                                      np.empty(squared.size, squared.dtype))
+        self.squared = np.asfortranarray(self.squared)
 
     @property
     def q(self) -> int:
@@ -187,16 +181,15 @@ def _nonzero_rows(squared: np.ndarray) -> np.ndarray:
     return nonzero
 
 
-def _pack_rows(squared: np.ndarray, keep: np.ndarray,
-               flat: np.ndarray) -> np.ndarray:
-    """The rows of ``squared`` at ``keep``, F-contiguous at the front of
-    the 1-d ``flat``, which may be ``squared``'s own F-ordered buffer:
-    column ``l``'s ``kept`` rows go to ``[l * kept, (l + 1) * kept)``,
-    which ends before column ``l + 1`` starts.  Each column moves in
-    blocks of :func:`_block_rows` rows, so the gathers' scratch stays
-    bounded; a block's kept rows never land past its own start.  The
-    column view reads the mask as is; ``squared[keep, col]`` would
-    expand it to int64 indices."""
+def _pack_rows(squared: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of the F-contiguous ``squared`` at ``keep``, packed in
+    place to the front of its buffer: column ``l``'s ``kept`` rows go to
+    ``[l * kept, (l + 1) * kept)``, which ends before column ``l + 1``
+    starts.  Each column moves in blocks of :func:`_block_rows` rows, so
+    the gathers' scratch stays bounded; a block's kept rows never land
+    past its own start.  The column view reads the mask as is;
+    ``squared[keep, col]`` would expand it to int64 indices."""
+    flat = squared.reshape(-1, order="F")
     kept, (size, q) = np.count_nonzero(keep), squared.shape
     rows = _block_rows()
     for col in range(q):
@@ -209,9 +202,10 @@ def _pack_rows(squared: np.ndarray, keep: np.ndarray,
 
 
 def _block_rows() -> int:
-    """Rows per block of the packing and solver loops, whose float
-    scratch, ``_BLOCK_BYTES / 32`` bytes, stays within the pair layer's
-    third byte a pair from n = 600 up."""
+    """Rows per block of the packing, solver and diagnostic loops.  The
+    solver's float scratch, ``_BLOCK_BYTES / 32`` bytes, stays within
+    the pair layer's third byte a pair from n = 600 up; the
+    diagnostic's, 8q + 17 bytes a row, is about 0.8 MB at q = 4."""
     return max(1, _BLOCK_BYTES // 256)
 
 
@@ -356,7 +350,8 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     One pass fills each component's column of a component-major
     ``P x q`` array with its squared pair projections, then trims the
     column, takes its standardizer and divides by it in place; the
-    jointly retained rows that are not all zero go to the array's front.
+    jointly retained rows that are not all zero go to the array's front,
+    and only here are all-zero rows dropped, not in :class:`PairScores`.
     No P-long float array is made beside it: the trimmed pairs are
     selected among candidates above a sampled bound, zeroed in the
     column and cleared in the joint mask, so the standardizer, the mean
@@ -385,6 +380,8 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
     SampleTooLargeError
         When the pair projections or the solver over them would exceed
         physical memory; raised before they are allocated.
+    DegenerateSampleError
+        When a component, or every jointly retained pair, projects to zero.
     """
     if not 1 <= q <= eigensystem.q:
         raise DimensionMismatchError(
@@ -430,13 +427,14 @@ def pair_scores(sample: FunctionalSample, eigensystem: EigenSystem,
         standardizers[col] = s
         column /= s
     # Pairs of coincident curves score zero in every component and go
-    # too; if no row is left, the joint rows (none, or all zero) go to
-    # the constructor, which says which.
+    # too.  With no joint row at all, the constructor says so.
     keep = _nonzero_rows(squared)
     keep &= joint_mask
-    squared = _pack_rows(squared, keep if keep.any() else joint_mask,
-                         squared.reshape(-1, order="F"))
-    del keep  # the constructor's own scan of the rows needs its room
+    if joint_mask.any() and not keep.any():
+        raise DegenerateSampleError(
+            "all retained pairs have zero projection norm")
+    squared = _pack_rows(squared, keep)
+    del keep
     # Beyond the float range a standardizer reads inf on the input scale.
     with np.errstate(over="ignore"):
         standardizers = np.ldexp(standardizers, 2 * exponent)
@@ -699,10 +697,9 @@ def convergence_condition(pairscores: PairScores,
     n_good = 0
     first_order = np.zeros(q)       # sum of V_m^2 / den
     cross = np.zeros((q, q))        # sum of V_m^2 V_l^2 / den^2
-    # Sums over blocks of rows, whose scratch stays within _BLOCK_BYTES.
-    rows_per_block = max(1, _BLOCK_BYTES // (8 * q + 17))
-    for start in range(0, squared.shape[0], rows_per_block):
-        block = squared[start:start + rows_per_block]
+    rows = _block_rows()
+    for start in range(0, squared.shape[0], rows):
+        block = squared[start:start + rows]
         denom = block @ coeffs
         # Zero entries of x_star can zero a nonzero row's denominator;
         # such rows get zero weight and leave the averages.

@@ -3,6 +3,7 @@ determinism, exit codes."""
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from passfpca import (
     FunctionalSample,
     SimulationConfig,
+    SolverOptions,
     cli,
     generate,
     make_grid,
@@ -541,6 +543,7 @@ summary: summary.json
     "settings: [{n: 10, noise_sd: .nan}]",
     "settings: [{n: 10, noise_sd: .inf}]",
     "solver: {tol: true}", "solver: {trim_fraction: false}",
+    "solver: []", "solver: 0", "solver: false", "solver: ''",
 ])
 def test_bench_value_of_the_wrong_type_is_format_error(
         tmp_path, monkeypatch, capsys, entry):
@@ -560,6 +563,17 @@ def test_bench_value_of_the_wrong_type_is_format_error(
     assert captured.out == ""
     assert str(config) in captured.err
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_bench_null_solver_runs_the_defaults(tmp_path):
+    config = _write_bench_config(tmp_path, (
+        "seed: 1\nreplications: 1\nmethods: [classical]\n"
+        "settings: [{n: 10}]\nsolver: null\n"))
+    summary = tmp_path / "summary.json"
+    assert _run("bench", "--config", str(config), "--out",
+                str(tmp_path / "out.csv"),
+                "--summary", str(summary)) == EXIT_OK
+    assert json.loads(summary.read_text())["solver"] == asdict(SolverOptions())
 
 
 def test_bench_config_that_is_not_utf8_is_format_error(tmp_path, capsys):

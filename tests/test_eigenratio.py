@@ -376,9 +376,10 @@ def test_pair_scores_are_component_major(coincident, trim):
 @pytest.mark.parametrize("zero_rows", [0, 2])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_mc_results_do_not_depend_on_the_caller_layout(order, zero_rows):
-    # The same values in the caller's layout, with or without all-zero
-    # rows that the constructor must drop without writing to the
-    # caller's array.
+    # The same values in the caller's layout, which the constructor
+    # copies without writing to the caller's array.  All-zero rows stay:
+    # the MC solver rejects them, and the diagnostic gives them no
+    # weight.
     _, system, scores = _gaussian_fit(n=100, seed=23, trim=0.02)
     at = [0, 300][:zero_rows]
     squared = np.asarray(np.insert(scores.squared, at, 0.0, axis=0),
@@ -389,14 +390,35 @@ def test_mc_results_do_not_depend_on_the_caller_layout(order, zero_rows):
                         np.insert(scores.joint_mask, at, True))
     assert copied.squared.flags.f_contiguous
     assert np.array_equal(squared, kept)
-    assert np.array_equal(copied.squared, scores.squared)
+    assert np.array_equal(copied.squared, squared)
     base = eigenratio_mc(scores, system.eigenvalues)
-    again = eigenratio_mc(copied, system.eigenvalues)
-    assert np.array_equal(again.ratios, base.ratios)
-    assert again.iterations == base.iterations
+    if zero_rows:
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateSampleError,
+                              match="nonpositive expectation"):
+            eigenratio_mc(copied, system.eigenvalues)
+    else:
+        again = eigenratio_mc(copied, system.eigenvalues)
+        assert np.array_equal(again.ratios, base.ratios)
+        assert again.iterations == base.iterations
     x_star = base.ratios[1:]
     assert np.array_equal(convergence_condition(copied, x_star).margin,
                           convergence_condition(scores, x_star).margin)
+
+
+def test_rebuilding_pair_scores_output_allocates_nothing():
+    # pair_scores has dropped the all-zero rows and laid the scores out
+    # component-major, so the constructor has nothing to scan or copy.
+    _, _, scores = _gaussian_fit(n=300, seed=4, trim=0.02)
+    tracemalloc.start()
+    try:
+        again = PairScores(scores.squared, scores.standardizers,
+                           scores.joint_mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.squared is scores.squared
+    assert peak < 1024
 
 
 def test_pair_scores_validation():
@@ -534,23 +556,21 @@ def test_eigenratio_mc_nonconvergence_is_flagged():
     assert estimate.ratios[0] == 1.0
 
 
-def test_eigenratio_mc_ignores_all_zero_rows():
+def test_eigenratio_mc_rejects_all_zero_rows():
     _, system, scores = _gaussian_fit(n=100, seed=21, trim=0.02)
-    # Five jointly retained all-zero rows, at the ends and inside; the
-    # constructor drops them.
+    # Five jointly retained all-zero rows, at the ends and inside, in a
+    # hand-built layer: pair_scores never keeps such rows, and the
+    # constructor does not look for them, so the solver refuses them.
     rows = scores.squared.shape[0]
     padded = PairScores(
         np.insert(scores.squared, [0, 1, 1, 500, rows], 0.0, axis=0),
         scores.standardizers,
         np.insert(scores.joint_mask, [0, 1, 1, 500, scores.n_pairs], True))
-    assert np.array_equal(padded.squared, scores.squared)
-    base = eigenratio_mc(scores, system.eigenvalues)
-    again = eigenratio_mc(padded, system.eigenvalues)
-    assert np.array_equal(again.ratios, base.ratios)
-    assert again.iterations == base.iterations
-    x_star = base.ratios[1:]
-    assert np.array_equal(convergence_condition(padded, x_star).margin,
-                          convergence_condition(scores, x_star).margin)
+    assert padded.squared.shape[0] == rows + 5
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateSampleError,
+                          match="nonpositive expectation"):
+        eigenratio_mc(padded, system.eigenvalues)
 
 
 def test_eigenratio_mc_no_joint_pair():
@@ -561,12 +581,24 @@ def test_eigenratio_mc_no_joint_pair():
 
 
 def test_eigenratio_mc_all_joint_rows_zero():
-    # The jointly retained pairs project to zero; only pairs trimmed in
-    # some component carry signal.  Such scores cannot be built.
-    joint_mask = np.zeros(6, dtype=bool)
-    joint_mask[3:] = True
+    # Curves 0 and 1 coincide on the basis, and every other pair is
+    # among the two largest of some component, which trims 2 of the 15
+    # pairs: the one jointly retained pair projects to zero, while each
+    # component keeps pairs that carry signal.
+    columns = []
+    for j in range(2, 6):  # the pairs of curve j with the two twins
+        column = np.full(6, 5.0)
+        column[[0, 1]] = 0.0
+        column[j] = 10.0
+        columns.append(column)
+    for centre, leaves in [(2, [3, 4]), (5, [2, 3]), (4, [3, 5])]:
+        column = np.full(6, 5.0)
+        column[centre], column[leaves] = 10.0, 0.0
+        columns.append(column)
+    sample = FunctionalSample(np.column_stack(columns))
+    system = EigenSystem(np.ones(7), np.eye(7))
     with pytest.raises(DegenerateSampleError, match="zero projection norm"):
-        PairScores(np.zeros((3, 2)), np.ones(2), joint_mask)
+        pair_scores(sample, system, 7, 0.1)
 
 
 def test_eigenratio_mc_validation():
@@ -915,7 +947,7 @@ def test_convergence_condition_scratch_stays_in_blocks_at_2000_curves():
 
 
 def test_convergence_condition_blocks_match_whole_array_sums(monkeypatch):
-    # About a thousand blocks of rows against the sums over all rows at
+    # Thousands of blocks of rows against the sums over all rows at
     # once; only the order of additions differs.
     _, _, scores = _gaussian_fit(n=200, seed=42, trim=0.02)
     x_star = np.array([0.5, 0.25, 0.125])
