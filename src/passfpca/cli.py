@@ -315,6 +315,24 @@ _TOP_KEYS = {"seed", "replications", "methods", "settings", "solver",
              "output", "summary"}
 
 
+def _check_mapping(path: str, value, where: str, allowed: set,
+                   required: tuple = ()) -> None:
+    """Raise the format error of a bench config entry at ``where`` that
+    is not a mapping, has a key outside ``allowed`` or lacks one of
+    ``required``."""
+    if not isinstance(value, dict):
+        raise _FormatError(f"{path}: {where} must be a mapping")
+    unknown = set(value) - allowed
+    if unknown:
+        raise _FormatError(
+            f"{path}: {where} has unknown keys {sorted(unknown)}; allowed "
+            f"keys are {sorted(allowed)}")
+    for key in required:
+        if key not in value:
+            raise _FormatError(
+                f"{path}: {where} is missing required key {key!r}")
+
+
 def _load_bench_config(path: str) -> dict:
     # Bytes, so PyYAML's reader decodes them and reports a byte that is
     # not UTF-8 as a YAMLError.
@@ -323,16 +341,8 @@ def _load_bench_config(path: str) -> dict:
             document = yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             raise _FormatError(f"{path}: invalid YAML: {exc}") from None
-    if not isinstance(document, dict):
-        raise _FormatError(f"{path}: top level must be a mapping")
-    unknown = set(document) - _TOP_KEYS
-    if unknown:
-        raise _FormatError(
-            f"{path}: unknown top-level keys {sorted(unknown)}; allowed "
-            f"keys are {sorted(_TOP_KEYS)}")
-    for key in ("seed", "replications", "methods", "settings"):
-        if key not in document:
-            raise _FormatError(f"{path}: missing required key {key!r}")
+    _check_mapping(path, document, "the top level", _TOP_KEYS,
+                   ("seed", "replications", "methods", "settings"))
     if not is_integer(document["seed"]) or document["seed"] < 0:
         raise _FormatError(f"{path}: 'seed' must be a nonnegative integer")
     if not is_integer(document["replications"]) \
@@ -346,28 +356,11 @@ def _load_bench_config(path: str) -> dict:
     if not isinstance(document["settings"], list) or not document["settings"]:
         raise _FormatError(f"{path}: 'settings' must be a nonempty list")
     for index, setting in enumerate(document["settings"]):
-        if not isinstance(setting, dict):
-            raise _FormatError(
-                f"{path}: settings[{index}] must be a mapping")
-        unknown = set(setting) - _SETTING_KEYS
-        if unknown:
-            raise _FormatError(
-                f"{path}: settings[{index}] has unknown keys "
-                f"{sorted(unknown)}; allowed keys are "
-                f"{sorted(_SETTING_KEYS)}")
-        if "n" not in setting:
-            raise _FormatError(
-                f"{path}: settings[{index}] is missing required key 'n'")
-    solver = document.get("solver")
-    if solver is None:
-        solver = document["solver"] = {}
-    if not isinstance(solver, dict):
-        raise _FormatError(f"{path}: 'solver' must be a mapping")
-    unknown = set(solver) - _SOLVER_KEYS
-    if unknown:
-        raise _FormatError(
-            f"{path}: solver has unknown keys {sorted(unknown)}; allowed "
-            f"keys are {sorted(_SOLVER_KEYS)}")
+        _check_mapping(path, setting, f"settings[{index}]", _SETTING_KEYS,
+                       ("n",))
+    if document.get("solver") is None:
+        document["solver"] = {}
+    _check_mapping(path, document["solver"], "solver", _SOLVER_KEYS)
     if not isinstance(document["methods"], list):
         raise _FormatError(f"{path}: 'methods' must be a list")
     return document

@@ -449,6 +449,8 @@ def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,
     if kappa.ndim != 1 or kappa.size < 1:
         raise DimensionMismatchError(
             "pass_eigenvalues must be a nonempty vector")
+    if not np.isfinite(kappa).all():
+        raise DimensionMismatchError("pass_eigenvalues must be finite")
     if np.any(kappa <= 0.0):
         raise DegenerateSampleError(
             "pass_eigenvalues must all be positive for ratio recovery")
@@ -466,8 +468,9 @@ def _validate_fixed_point_inputs(pass_eigenvalues: np.ndarray,
         if start.shape != kappa.shape:
             raise DimensionMismatchError(
                 f"init must have shape {kappa.shape}, got {start.shape}")
-        if np.any(start <= 0.0):
-            raise DimensionMismatchError("init ratios must all be positive")
+        if not (np.isfinite(start).all() and (start > 0.0).all()):
+            raise DimensionMismatchError(
+                "init ratios must all be positive and finite")
         start = start / start[0]
     return kappa / kappa[0], start
 
@@ -542,11 +545,11 @@ def eigenratio_mc(pairscores: PairScores, pass_eigenvalues: np.ndarray,
         Squared standardized projections of the pairs retained in every
         component, over which the expectations average.
     pass_eigenvalues : numpy.ndarray
-        Leading eigenvalues of the pairwise surface, positive and
-        nonincreasing; only their ratios enter the update.
+        Leading eigenvalues of the pairwise surface, positive, finite
+        and nonincreasing; only their ratios enter the update.
     init : numpy.ndarray, optional
-        Starting ratios (eigenratios of the classical covariance are a
-        good choice).  Defaults to all ones.
+        Starting ratios, positive and finite (eigenratios of the
+        classical covariance are a good choice).  Defaults to all ones.
     tol : float
         Max-norm stopping tolerance on the plain-map residual.
     max_iter : int
@@ -608,9 +611,9 @@ def elliptical_expectation(ratios) -> np.ndarray:
     Parameters
     ----------
     ratios : sequence of float
-        Positive weights ``r_k``; the callers in this module always pass
-        a vector normalized so the first entry is one, but any positive
-        vector is accepted.
+        Positive finite weights ``r_k``; the callers in this module
+        always pass a vector normalized so the first entry is one, but
+        any positive finite vector is accepted.
 
     Returns
     -------
@@ -621,9 +624,10 @@ def elliptical_expectation(ratios) -> np.ndarray:
     r = np.asarray(ratios, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise DimensionMismatchError("ratios must be a nonempty vector")
-    if np.any(r <= 0.0):
+    if not (np.isfinite(r).all() and (r > 0.0).all()):
         raise DimensionMismatchError(
-            "ratios must all be positive for the elliptical integral")
+            "ratios must all be positive and finite for the elliptical "
+            "integral")
     log_r = np.log(r)
     s = np.arange(-40.0 - log_r.max(), 80.0 - log_r.min(), _LOG_STEP)
     # log(1 + r_k e^s), one row per component.

@@ -385,6 +385,12 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
         Eigenvalues on the operator scale (matrix eigenvalue times the
         quadrature weight) and eigenfunctions scaled to unit quadrature
         norm, signed so the entry of largest magnitude is positive.
+
+    Raises
+    ------
+    DimensionMismatchError
+        When ``q`` is out of range, or an eigenvalue overflows, as it
+        can on a finite surface near the top of the float range.
     """
     grid = surface.grid
     n_points = grid.n_points
@@ -393,6 +399,8 @@ def eigendecompose(surface: CovarianceSurface, q: int) -> EigenSystem:
             f"q must be between 1 and {n_points}, got {q}")
     # All N eigenpairs in ascending order; keep the last q, largest first.
     evals, evecs = np.linalg.eigh(surface.matrix)
+    if not np.isfinite(evals).all():
+        raise DimensionMismatchError("surface eigenvalues must be finite")
     evals = evals[::-1][:q] * grid.spacing
     evecs = evecs[:, ::-1][:, :q] * np.sqrt(n_points)
     for col in range(q):

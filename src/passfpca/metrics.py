@@ -333,54 +333,36 @@ def _evaluate_in_order(executor: Executor,
             future.cancel()
 
 
-# Thread-count getters and setters of the OpenBLAS builds in numpy's
-# wheels.
-_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_",
-                        "openblas_get_num_threads64_",
-                        "openblas_get_num_threads")
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
-                        "openblas_set_num_threads64_",
-                        "openblas_set_num_threads")
+# Thread-count getter and setter names of numpy's OpenBLAS, in numpy 2
+# wheels, numpy 1.x wheels and system builds.
+_BLAS_THREAD_CONTROLS = (
+    ("scipy_openblas_get_num_threads64_",
+     "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def _openblas_thread_controls() -> list:
-    """The thread-count getter and setter of every OpenBLAS mapped into
-    this process, found in ``/proc/self/maps``; none where that file is
-    missing."""
+    """The thread-count getter and setter of numpy's OpenBLAS, looked up
+    on numpy's linalg extension, whose handle also searches the libraries
+    it links: a list of one pair, empty where that BLAS is not OpenBLAS."""
     import ctypes
 
-    try:
-        with open("/proc/self/maps") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return []
-    paths = set()
-    for line in lines:
-        fields = line.split(maxsplit=5)
-        # An unlinked library is mapped as "path (deleted)"; it cannot
-        # be opened by name.
-        if (len(fields) == 6 and fields[5].startswith("/")
-                and "openblas" in os.path.basename(fields[5]).lower()
-                and not fields[5].rstrip().endswith(" (deleted)")):
-            paths.add(fields[5].rstrip())
-    controls = []
-    for path in sorted(paths):
-        library = ctypes.CDLL(path)
-        getter = next((getattr(library, name)
-                       for name in _BLAS_THREAD_GETTERS
-                       if hasattr(library, name)), None)
-        setter = next((getattr(library, name)
-                       for name in _BLAS_THREAD_SETTERS
-                       if hasattr(library, name)), None)
-        if getter is not None and setter is not None:
+    from numpy.linalg import _umath_linalg
+
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    for names in _BLAS_THREAD_CONTROLS:
+        if all(hasattr(library, name) for name in names):
+            getter, setter = (getattr(library, name) for name in names)
             getter.argtypes, getter.restype = [], ctypes.c_int
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            controls.append((getter, setter))
-    return controls
+            return [(getter, setter)]
+    return []
 
 
 def _one_blas_thread() -> None:
-    """Limit this process's OpenBLAS to one thread.
+    """Limit this process's numpy OpenBLAS to one thread.
 
     The workers already take every usable CPU; a BLAS thread more in
     each would compete with them, and a waiting OpenBLAS thread spins.

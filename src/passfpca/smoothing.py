@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BasisSizeError, InsufficientSampleError
-from .estimators import CovarianceSurface
+from .estimators import CovarianceSurface, _unit_scale
 from .grid import FunctionalSample, make_grid
 
 __all__ = [
@@ -63,7 +63,9 @@ def presmooth(sample: FunctionalSample) -> FunctionalSample:
     Each curve is replaced by the minimizer of its residual sum of
     squares plus a penalty times the integrated squared second
     difference, with the penalty chosen per curve by generalized
-    cross-validation over a fixed logarithmic grid.
+    cross-validation over a fixed logarithmic grid.  The fit runs on the
+    curves scaled by a power of two into [0.5, 1), where its squared
+    residuals cannot overflow or underflow, and is scaled back exactly.
 
     Parameters
     ----------
@@ -81,7 +83,8 @@ def presmooth(sample: FunctionalSample) -> FunctionalSample:
         raise InsufficientSampleError(
             f"curve smoothing needs at least 4 grid points, got {n_points}")
     eigs, vecs = _curve_smoother(n_points)
-    rotated = sample.values @ vecs
+    values, exponent = _unit_scale(sample.values)
+    rotated = values @ vecs
     # GCV: evaluate every candidate penalty for every curve at once.
     shrink = 1.0 / (1.0 + _CURVE_PENALTIES[:, None] * eigs[None, :])
     edf = shrink.sum(axis=1)
@@ -90,7 +93,7 @@ def presmooth(sample: FunctionalSample) -> FunctionalSample:
     gcv = n_points * rss / (n_points - edf) ** 2
     best = np.argmin(gcv, axis=1)
     smoothed = (rotated * shrink[best]) @ vecs.T
-    return FunctionalSample(smoothed)
+    return FunctionalSample(np.ldexp(smoothed, exponent))
 
 
 def _bspline_basis(points: np.ndarray, basis_size: int) -> np.ndarray:
@@ -200,6 +203,8 @@ def smooth_surface(surface: CovarianceSurface,
     back on the full grid, which restores the diagonal from its smooth
     neighbors.  The penalty is chosen by generalized cross-validation
     over a fixed logarithmic grid.  The output is exactly symmetric.
+    As in :func:`presmooth`, the fit runs on the surface scaled by a
+    power of two into [0.5, 1) and is scaled back exactly.
 
     Parameters
     ----------
@@ -219,4 +224,5 @@ def smooth_surface(surface: CovarianceSurface,
             f"basis_size must be between 4 and the grid size "
             f"{n_points}, got {basis_size}")
     smoother = _surface_smoother(n_points, basis_size)
-    return CovarianceSurface(smoother.fit(surface.matrix))
+    matrix, exponent = _unit_scale(surface.matrix)
+    return CovarianceSurface(np.ldexp(smoother.fit(matrix), exponent))

@@ -257,6 +257,21 @@ def test_malformed_curves_file_is_a_format_error(tmp_path, capsys, case):
     assert f"{path}:{line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [
+    "id,0.5,1", "curve_id,1", "curve_id,0.5,one", "curve_id,0.5,1_0"])
+def test_malformed_header_is_a_format_error(tmp_path, capsys, header):
+    # Not starting with curve_id, fewer than two grid columns, and grid
+    # names that are not plain numbers.
+    path = tmp_path / "curves.csv"
+    path.write_text(f"{header}\n0,1,2\n1,3,4\n")
+    code = _run("fit", "--input", str(path), "--result",
+                str(tmp_path / "fit.json"), "--eigenfunctions",
+                str(tmp_path / "ef.csv"))
+    assert code == EXIT_FORMAT
+    assert f"{path}:1: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -411,6 +426,31 @@ def test_ratio_solvers_agree_on_clean_data(tmp_path):
         docs["elliptical"]["pass_eigenvalues"]
 
 
+def test_curves_whose_classical_eigenvalues_overflow(tmp_path, capsys):
+    # The classical surface of curves at 2^510 is finite, but its
+    # eigenvalues are not: the ratio solvers start from ones instead,
+    # and the classical fit is an estimation error, not a result
+    # document holding Infinity and NaN.
+    sample, _ = generate(SimulationConfig(n=40, noise_sd=0.5, seed=2))
+    curves = tmp_path / "big.csv"
+    write_curves_csv(str(curves),
+                     FunctionalSample(np.ldexp(sample.values, 510)))
+    for solver in ("mc", "elliptical"):
+        result = tmp_path / f"{solver}.json"
+        assert _run("ratio", "--input", str(curves), "--solver", solver,
+                    "--result", str(result)) == EXIT_OK
+        doc = json.loads(result.read_text())
+        assert doc["converged"] is True
+        assert np.isfinite(doc["ratios"]).all()
+    result = tmp_path / "fit.json"
+    code = _run("fit", "--input", str(curves), "--method", "classical",
+                "--eigenfunctions", str(tmp_path / "ef.csv"),
+                "--result", str(result))
+    assert code == EXIT_ESTIMATION
+    assert "eigenvalues must be finite" in capsys.readouterr().err
+    assert not result.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -544,6 +584,9 @@ summary: summary.json
     "settings: [{n: 10, noise_sd: .inf}]",
     "solver: {tol: true}", "solver: {trim_fraction: false}",
     "solver: []", "solver: 0", "solver: false", "solver: ''",
+    "settings: []", "settings: {n: 10}", "settings: [10]",
+    "settings: [{noise_sd: 0.5}]", "solver: {bandwidth: 0.2}",
+    "methods: classical",
 ])
 def test_bench_value_of_the_wrong_type_is_format_error(
         tmp_path, monkeypatch, capsys, entry):
@@ -558,6 +601,24 @@ def test_bench_value_of_the_wrong_type_is_format_error(
     document[key] = value
     config = _write_bench_config(tmp_path, "".join(
         f"{k}: {v}\n" for k, v in document.items()))
+    assert _run("bench", "--config", str(config)) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(config) in captured.err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("text", [
+    "", "- seed\n", "seed: 1\nreplications: 1\nmethods: [classical]\n",
+    ("seed: 1\nreplications: 1\nmethods: [classical]\n"
+     "settings: [{n: 10}]\nbandwidth: 0.2\n"),
+])
+def test_bench_config_top_level_is_checked(tmp_path, monkeypatch, capsys,
+                                           text):
+    # Empty, not a mapping, missing a required key, or an unknown key:
+    # exit 4 before anything runs.
+    monkeypatch.chdir(tmp_path)
+    config = _write_bench_config(tmp_path, text)
     assert _run("bench", "--config", str(config)) == EXIT_FORMAT
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -614,6 +614,56 @@ def test_eigenratio_mc_validation():
         eigenratio_mc(scores, system.eigenvalues[:3])
 
 
+_FIXED_POINT_REJECTIONS = {
+    "kappa-matrix": ({"pass_eigenvalues": [[1.0, 0.5, 0.25, 0.125]]},
+                     DimensionMismatchError),
+    "kappa-empty": ({"pass_eigenvalues": []}, DimensionMismatchError),
+    "kappa-nan": ({"pass_eigenvalues": [1.0, 0.5, np.nan, 0.125]},
+                  DimensionMismatchError),
+    "kappa-inf": ({"pass_eigenvalues": [np.inf, 0.5, 0.25, 0.125]},
+                  DimensionMismatchError),
+    "kappa-zero": ({"pass_eigenvalues": [1.0, 0.5, 0.25, 0.0]},
+                   DegenerateSampleError),
+    "kappa-increasing": ({"pass_eigenvalues": [1.0, 0.5, 0.6, 0.125]},
+                         DimensionMismatchError),
+    "tol-zero": ({"tol": 0.0}, DimensionMismatchError),
+    "max_iter-zero": ({"max_iter": 0}, DimensionMismatchError),
+    "init-short": ({"init": [1.0, 0.5, 0.25]}, DimensionMismatchError),
+    "init-negative": ({"init": [1.0, -0.5, 0.25, 0.125]},
+                      DimensionMismatchError),
+    "init-nan": ({"init": [1.0, np.nan, 1.0, 1.0]}, DimensionMismatchError),
+    "init-inf": ({"init": [1.0, np.inf, 1.0, 1.0]}, DimensionMismatchError),
+}
+_EXPECTATION_REJECTIONS = {
+    "matrix": [[1.0, 0.5]], "empty": [], "negative": [1.0, -0.5],
+    "zero": [1.0, 0.0], "nan": [1.0, np.nan], "inf": [1.0, np.inf],
+}
+
+
+@pytest.mark.parametrize("target, kwargs, error", [
+    *[pytest.param(solver, kwargs, error, id=f"{solver}-{name}")
+      for solver in ("mc", "elliptical")
+      for name, (kwargs, error) in _FIXED_POINT_REJECTIONS.items()],
+    *[pytest.param("expectation", {"ratios": ratios},
+                   DimensionMismatchError, id=f"expectation-{name}")
+      for name, ratios in _EXPECTATION_REJECTIONS.items()],
+])
+def test_solver_inputs_are_rejected(target, kwargs, error):
+    # A NaN start or eigenvalue compares False with zero, so only an
+    # explicit finiteness check turns it into a documented error rather
+    # than a raw ValueError from the quadrature's arange.
+    if target == "expectation":
+        with pytest.raises(error):
+            elliptical_expectation(**kwargs)
+        return
+    kwargs = {"pass_eigenvalues": [1.0, 0.5, 0.25, 0.125], **kwargs}
+    with pytest.raises(error):
+        if target == "mc":
+            eigenratio_mc(_drawn_pairscores(0, 50, 4, "gaussian"), **kwargs)
+        else:
+            eigenratio_elliptical(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the accelerated fixed-point loop
 

@@ -322,10 +322,35 @@ def _usable_cpus(monkeypatch, count):
 
 
 def _blas_threads():
-    """Every loaded OpenBLAS's thread count, as "1" or "1,1"; "none"
-    where no OpenBLAS is loaded."""
+    """The thread count of numpy's OpenBLAS, as "1"; "none" where
+    numpy's BLAS is not OpenBLAS."""
     counts = [getter() for getter, _ in metrics._openblas_thread_controls()]
     return ",".join(map(str, counts)) or "none"
+
+
+def test_blas_lookup_finds_the_openblas_numpy_bundles():
+    # The worker-count test accepts "none", so a lookup that found
+    # nothing would pin no worker and still pass there.  Where numpy's
+    # wheel maps its own OpenBLAS, the lookup must find and set it.
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs") + os.sep
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in handle}
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    if not any(path.startswith(libs)
+               and "openblas" in os.path.basename(path).lower()
+               for path in paths):
+        pytest.skip("numpy maps no OpenBLAS of its own")
+    [(getter, setter)] = metrics._openblas_thread_controls()
+    saved = getter()
+    assert saved >= 1
+    try:
+        setter(1)
+        assert getter() == 1
+    finally:
+        setter(saved)
 
 
 class _PidLoggingPipeline(metrics.Pipeline):

@@ -17,6 +17,7 @@ from passfpca import (
     DegenerateSampleError,
     FunctionalSample,
     InsufficientSampleError,
+    PassFpcaError,
     Pipeline,
     SimulationConfig,
     SolverOptions,
@@ -238,3 +239,32 @@ def test_pass_mc_is_scale_free_at_1e160():
         "pass_mc")
     assert big.converged
     np.testing.assert_allclose(big.ratios, base.ratios, rtol=1e-6)
+
+
+def _sample_and_its_copy_at_2_to_510():
+    sample, _ = generate(SimulationConfig(n=40, noise_sd=0.5, seed=2))
+    return sample, FunctionalSample(np.ldexp(sample.values, 510))
+
+
+@pytest.mark.parametrize("method", [
+    "pass_mc", "pass_elliptical", "pass_mc@pre_smooth",
+    "pass_elliptical@pre_smooth", "pass_mc@smooth_cf",
+    "pass_elliptical@smooth_cf"])
+def test_pass_ratios_are_scale_free_at_2_to_510(method):
+    # The classical surface of these curves is finite, but its
+    # eigenvalues overflow, so the solver starts from ones instead of
+    # the classical ratios and reaches the same fixed point.
+    sample, big = _sample_and_its_copy_at_2_to_510()
+    base = Pipeline(sample).evaluate(method)
+    scaled = Pipeline(big).evaluate(method)
+    assert scaled.converged
+    np.testing.assert_allclose(scaled.ratios, base.ratios, rtol=1e-6)
+
+
+@pytest.mark.parametrize("method", [
+    "classical", "classical_ratio", "classical@pre_smooth",
+    "classical_ratio@pre_smooth", "classical@smooth_cf"])
+def test_classical_methods_reject_curves_at_2_to_510(method):
+    _, big = _sample_and_its_copy_at_2_to_510()
+    with pytest.raises(PassFpcaError, match="eigenvalues must be finite"):
+        Pipeline(big).evaluate(method)

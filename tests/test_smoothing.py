@@ -91,6 +91,16 @@ def test_presmooth_gcv_picks_the_per_curve_minimum(n_points, noise_sd):
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("power", [-900, 900])
+def test_presmooth_scales_with_the_curves_by_powers_of_two(power):
+    # The squared residuals of GCV would overflow at 2^900 and underflow
+    # at 2^-900; at unit scale the penalty choice and the fit are exact.
+    sample = _noisy_sample(n=20, noise_sd=0.5, seed=2)
+    scaled = presmooth(FunctionalSample(np.ldexp(sample.values, power)))
+    assert np.array_equal(np.ldexp(scaled.values, -power),
+                          presmooth(sample).values)
+
+
 def test_presmooth_validation():
     short = FunctionalSample(np.ones((2, 3)))
     with pytest.raises(InsufficientSampleError):
@@ -164,6 +174,15 @@ def test_smooth_surface_output_exactly_symmetric():
     smoothed = smooth_surface(surface)
     assert np.array_equal(smoothed.matrix, smoothed.matrix.T)
     assert np.isfinite(smoothed.matrix).all()
+
+
+@pytest.mark.parametrize("power", [-960, 960])
+def test_smooth_surface_scales_with_the_surface_by_powers_of_two(power):
+    surface = sample_covariance(_noisy_sample(n=40, noise_sd=0.5, seed=2))
+    scaled = smooth_surface(
+        CovarianceSurface(np.ldexp(surface.matrix, power)))
+    assert np.array_equal(np.ldexp(scaled.matrix, -power),
+                          smooth_surface(surface).matrix)
 
 
 def test_smooth_surface_validation():
