@@ -706,11 +706,12 @@ def convergence_condition(pairscores: PairScores,
         block = squared[start:start + rows]
         denom = block @ coeffs
         # Zero entries of x_star can zero a nonzero row's denominator;
-        # such rows get zero weight and leave the averages.
+        # such rows leave the averages, and the products below, so that
+        # where they sit cannot change the products' summation order.
         good = denom > 0.0
-        n_good += int(np.count_nonzero(good))
-        weights = np.divide(1.0, denom, out=np.zeros_like(denom),
-                            where=good)
+        block = block[good]
+        weights = 1.0 / denom[good]
+        n_good += weights.size
         first_order += weights @ block
         ratio1 = block * weights[:, None]
         cross += ratio1.T @ ratio1

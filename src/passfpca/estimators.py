@@ -58,8 +58,16 @@ _DEGENERATE_REL_TOL = 1e-12
 # factor at 1e3.
 _CLOSE_REL_TOL = 1e-3
 
-# Scratch bytes for one block of weight rows, or for one chunk of band
-# pairs with its gathered rows and differences.
+# Rows whose median-centred squared norm is below this fraction of the
+# largest lie near the median; the PASS pass takes them last.
+_NEAR_MEDIAN_REL_TOL = 1e-8
+
+# Pairs whose Gram norm is at or below this fraction of one curve's
+# median-centred squared norm are checked against the PASS band.
+_BAND_REL_TOL = 1e-2
+
+# Scratch bytes for one block of weight rows; a chunk of band pairs, with
+# its gathered rows and differences, takes an eighth of it.
 _BLOCK_BYTES = 1 << 22
 
 # Absolute symmetry tolerance for covariance surfaces.
@@ -215,10 +223,15 @@ def _check_memory(n_bytes: int, what: str) -> None:
 
 def _pair_weight_bytes(n: int, n_points: int) -> int:
     """Bytes :func:`pass_covariance` needs for ``n`` curves on
-    ``n_points``: the ``n x n`` squared pair norms, turned into the
-    weights in place; at most five ``n x N`` arrays at the Laplacian
-    product; a block's scratch."""
-    return 8 * n * n + 40 * n * n_points + 3 * _BLOCK_BYTES
+    ``n_points``: three ``n x N`` arrays (the scaled curves, the centred
+    curves and ``(D - W) X``); a block of squared pair norms, turned into
+    weights in place, and its band mask; and, during the pass, a block's
+    ``W X`` and the ``N x N`` sum, or, at its end, the surface with two
+    ``N x N`` temporaries; a chunk of band pairs' exact differences.
+    Only the band's indices, 40 bytes a pair in the band, come on top."""
+    rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+    return (24 * n * n_points + 9 * rows * n + 24 * n + _BLOCK_BYTES // 8
+            + 8 * max(rows * n_points + n_points ** 2, 3 * n_points ** 2))
 
 
 def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -265,8 +278,8 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     Raises
     ------
     SampleTooLargeError
-        When the ``n x n`` pair weights would exceed physical memory;
-        raised before anything large is allocated.
+        When the working set, :func:`_pair_weight_bytes`, would exceed
+        physical memory; raised before anything large is allocated.
 
     Notes
     -----
@@ -276,96 +289,157 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
 
     with weights ``w_jk = 1 / ||x_j - x_k||^2`` and ``D`` the diagonal of
     the row sums of ``W``.  It is evaluated as ``(D - W) X`` and then
-    ``X^T [(D - W) X]``, two matrix products costing ``O(n^2 N + n N^2)``
-    in all instead of ``n^2 / 2`` outer products at ``O(N^2)`` each.  The
+    ``X^T [(D - W) X]``, matrix products costing ``O(n^2 N + n N^2)`` in
+    all instead of ``n^2 / 2`` outer products at ``O(N^2)`` each.  The
     Laplacian annihilates constants, so the rows of ``X`` are first
     centred at the coordinatewise median, which keeps the bulk curves'
-    norms small even when outliers shift the mean.  The squared pair
-    norms come from the Gram matrix of the centred curves,
-    ``r_j + r_k - 2 <x_j, x_k>`` with ``r_j = ||x_j||^2``, one matrix
-    product; their rounding error is about ``eps (r_j + r_k)``.  Pairs in
-    the band where that error could decide a cut, a Gram norm at or below
-    ``4e-3 (r_j + r_k)`` or ``4e-12`` times the largest pair norm, get
-    their norms from exact differences instead, so both cuts below read
-    exact norms.  The Laplacian form also cancels for a pair that is
-    close next to its curves' norms, by a factor of about
-    ``(r_j + r_k) / ||d||^2``: a pair with ``||d||^2 <= 1e-3 (r_j + r_k)``
-    is left out of ``W``, and its term ``d d^T / ||d||^2`` is added
-    directly from the same exact differences, a bounded chunk of pairs at
-    a time.  The result agrees with the literal per-pair average to
-    rounding.
+    norms small even when outliers shift the mean.
+
+    ``W`` is never held whole.  One pass over blocks of rows takes each
+    block's Gram rows into one reused scratch, turns them into squared
+    pair norms ``r_j + r_k - 2 <x_j, x_k>`` with ``r_j = ||x_j||^2``,
+    turns those into the block's weights in place and adds the block's
+    rows of ``(D - W) X``.  The Gram norms err by about
+    ``eps (r_j + r_k)``.  Pairs in the band where that error could decide
+    a cut, a Gram norm at or below ``4e-3 (r_j + r_k)`` or ``4e-12``
+    times the largest pair norm, get their norms from exact differences
+    instead, so both cuts read exact norms.  The Laplacian form also
+    cancels for a pair that is close next to its curves' norms, by a
+    factor of about ``(r_j + r_k) / ||d||^2``: a pair with
+    ``||d||^2 <= 1e-3 (r_j + r_k)`` is left out of ``W``, and its term
+    ``d d^T / ||d||^2`` is added directly from the same exact differences,
+    once, from the row of its first curve.  A band pair is met from both
+    of its rows, which compute the same exact norm.
+
+    One pass suffices although the largest pair norm, and with it the
+    coincidence cut, is known only at its end.  With ``R = max r_j``,
+    every pair norm is at most ``4 R``, and the median centring gives
+    ``R <= (n - 1)`` times the largest pair norm.  So:
+
+    - For a row with ``r_j >= 1e-8 R`` the close cut
+      ``1e-3 (r_j + r_k) >= 1e-11 R`` is above the coincidence cut, so
+      which of its pairs are in the band, close or far does not depend
+      on the coincidence cut.
+    - A pair of two rows below ``1e-8 R``, near the median, has a norm
+      below ``4e-8 R``, too small to be the largest for
+      ``n < 2.5e7``.  These rows go last, in index order, after the
+      largest norm is final; on most samples there are none.
+    - The few close pairs whose exact norm is at or below ``8e-12 R``,
+      which the coincidence cut may drop, wait until it is known.
+
+    The result agrees with the literal per-pair average to rounding.
     """
     n = sample.n
     if n < 2:
         raise InsufficientSampleError(
             f"pairwise covariance needs at least 2 curves, got {n}")
-    _check_memory(_pair_weight_bytes(n, sample.grid.n_points),
-                  f"the pair weights of {n} curves")
+    n_points = sample.grid.n_points
+    _check_memory(_pair_weight_bytes(n, n_points),
+                  f"the PASS surface of {n} curves")
     # PASS is scale-invariant, so the exact rescale changes nothing.
     values, _ = _unit_scale(sample.values)
     spacing = sample.grid.spacing
-    n_points = sample.grid.n_points
     centred = values - _column_medians(values)
     radii = spacing * np.einsum("ij,ij->i", centred, centred)
-    rows_per_block = max(1, _BLOCK_BYTES // (8 * n))
-    blocks = [slice(start, min(start + rows_per_block, n))
-              for start in range(0, n, rows_per_block)]
-    # Squared pair norms from the Gram matrix, block of rows by block of
-    # rows; the diagonal is zero by definition.
-    sq_norms = centred @ centred.T
-    max_norm = 0.0
-    for rows in blocks:
-        block = sq_norms[rows]
-        block *= -2.0 * spacing
-        block += radii[rows, None]
-        block += radii
-        np.fill_diagonal(block[:, rows], 0.0)
-        max_norm = max(max_norm, float(block.max()))
-    if max_norm <= 0.0:
+    largest = radii.max()
+    if largest <= 0.0:
         raise DegenerateSampleError(
             "all curve pairs are coincident; the pairwise covariance is "
             "undefined")
-    threshold = _DEGENERATE_REL_TOL * max_norm
-    # Turn sq_norms, block by block, into the symmetric weights of the far
-    # pairs the Laplacian sums, after giving the band its exact norms and
-    # adding the close pairs' terms directly.
-    weights = sq_norms
-    close_acc = np.zeros((n_points, n_points))
+    near = radii < _NEAR_MEDIAN_REL_TOL * largest
+    n_outer = n - int(np.count_nonzero(near))
+    if n_outer < n:
+        order = np.argsort(near, kind="stable")
+        values = values[order]
+        centred = centred[order]
+        radii = radii[order]
+    rows_per_block = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+    scratch = np.empty((rows_per_block, n))
+    in_band = np.empty((rows_per_block, n), dtype=bool)
+    # A superset of each row's band: a pair in the band of the close cut
+    # has r_k <= 1.2 r_j by Cauchy-Schwarz, so its norm is at most
+    # 8.8e-3 r_j; rows near the median add 4x the coincidence cut.
+    band_bound = _BAND_REL_TOL * radii
+    # A chunk of band pairs holds three rows of N floats a pair.
+    pairs_per_chunk = max(1, _BLOCK_BYTES // (8 * 24 * n_points))
+    laplacian_x = np.empty_like(centred)
+    # The close pairs' terms, and then the surface.
+    acc = np.zeros((n_points, n_points))
+    waiting = []
     n_far = n_close = 0
-    pairs_per_chunk = max(1, _BLOCK_BYTES // (24 * n_points))
-    for rows in blocks:
-        block = sq_norms[rows]
-        # A pair is far above both cuts, and in the band within 4x of one.
-        cut = _CLOSE_REL_TOL * (radii[rows, None] + radii)
-        np.maximum(cut, threshold, out=cut)
-        first, second = np.nonzero(block <= 4.0 * cut)
-        first += rows.start
-        # Each band pair once, from its upper-triangle cell (j > i).
-        upper = second > first
-        first, second = first[upper], second[upper]
-        for lo in range(0, first.size, pairs_per_chunk):
-            i = first[lo:lo + pairs_per_chunk]
-            j = second[lo:lo + pairs_per_chunk]
-            diff = values[i] - values[j]
-            exact = spacing * np.einsum("ij,ij->i", diff, diff)
-            sq_norms[i, j] = sq_norms[j, i] = exact
-            close = ((exact > threshold)
-                     & (exact <= _CLOSE_REL_TOL * (radii[i] + radii[j])))
-            n_close += int(np.count_nonzero(close))
-            diff = diff[close]
-            close_acc += (diff / exact[close][:, None]).T @ diff
-        far = block > cut
-        n_far += int(np.count_nonzero(far))
-        np.reciprocal(block, out=block, where=far)
-        block *= far
+    max_norm = 0.0
+    threshold = None
+    # Close pairs at or below `settle` wait for the coincidence cut, and
+    # rows take it as the floor of their cuts, once it is known.
+    floor, settle = 0.0, 8.0 * _DEGENERATE_REL_TOL * largest
+    for first_row, last_row in ((0, n_outer), (n_outer, n)):
+        if first_row == n_outer:
+            if max_norm <= 0.0:
+                raise DegenerateSampleError(
+                    "all curve pairs are coincident; the pairwise "
+                    "covariance is undefined")
+            threshold = _DEGENERATE_REL_TOL * max_norm
+            floor = settle = threshold
+            np.maximum(band_bound, 4.0 * threshold, out=band_bound)
+        for start in range(first_row, last_row, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, last_row))
+            block = scratch[:rows.stop - start]
+            # Squared pair norms from the Gram rows; the diagonal is zero
+            # by definition, and then inf, which leaves it out of the band
+            # and of W.
+            np.matmul(centred[rows], centred.T, out=block)
+            block *= -2.0 * spacing
+            block += radii[rows, None]
+            block += radii
+            diagonal = block[:, rows]
+            np.fill_diagonal(diagonal, 0.0)
+            if threshold is None:
+                max_norm = max(max_norm, float(block.max()))
+            np.fill_diagonal(diagonal, np.inf)
+            mask = np.less_equal(block, band_bound[rows, None],
+                                 out=in_band[:len(block)])
+            first, second = np.nonzero(mask)
+            cut = np.maximum(
+                _CLOSE_REL_TOL * (radii[first + start] + radii[second]),
+                floor)
+            band = block[first, second] <= 4.0 * cut
+            first, second, cut = first[band], second[band], cut[band]
+            # Every pair outside the band is far above both cuts.
+            n_far += block.size - len(block) - first.size
+            for lo in range(0, first.size, pairs_per_chunk):
+                part = slice(lo, lo + pairs_per_chunk)
+                i, j = first[part] + start, second[part]
+                diff = values[i] - values[j]
+                exact = spacing * np.einsum("ij,ij->i", diff, diff)
+                far = exact > cut[part]
+                n_far += int(np.count_nonzero(far))
+                # A pair left out of W reads 1 / inf = 0 below.
+                block[first[part], j] = np.where(far, exact, np.inf)
+                # Each close pair once, from the row of its first curve.
+                close = ~far & (j > i) & (exact > floor)
+                wait = close & (exact <= settle)
+                if wait.any():
+                    waiting.append((i[wait], j[wait], exact[wait]))
+                close &= ~wait
+                n_close += int(np.count_nonzero(close))
+                diff = diff[close]
+                acc += (diff / exact[close][:, None]).T @ diff
+            np.reciprocal(block, out=block)
+            # (D - W) X, so each row's cancellation happens in one vector.
+            lap = laplacian_x[rows]
+            np.multiply(block.sum(axis=1)[:, None], centred[rows], out=lap)
+            lap -= block @ centred
+    for i, j, exact in waiting:
+        keep = exact > threshold
+        n_close += int(np.count_nonzero(keep))
+        diff = values[i[keep]] - values[j[keep]]
+        acc += (diff / exact[keep][:, None]).T @ diff
     # Each far pair was counted from both of its rows.
     retained = n_far // 2 + n_close
-    # (D - W) X first, so each row's cancellation happens in one vector.
-    laplacian_x = weights.sum(axis=1)[:, None] * centred - weights @ centred
-    acc = centred.T @ laplacian_x
-    acc += close_acc
+    acc += centred.T @ laplacian_x
     acc /= retained
-    acc = 0.5 * (acc + acc.T)
+    acc = acc + acc.T
+    acc *= 0.5
     return CovarianceSurface(acc)
 
 

@@ -374,7 +374,8 @@ def _one_blas_thread() -> None:
 
 def _replicate_bytes(config: SimulationConfig, opts: SolverOptions) -> int:
     """The memory guards' estimate for one replicate of ``config``: its
-    PASS pair weights and its pair projections, as if held at once."""
+    PASS surface's working set, which has no ``n x n`` term, and its pair
+    projections, as if held at once."""
     return (_pair_weight_bytes(config.n, config.n_points)
             + _pair_score_bytes(config.n, opts.q, opts.trim_fraction))
 

@@ -322,6 +322,20 @@ def _literal_pass(values):
     return acc / kept
 
 
+def _assert_matches_literal(values, scale=1.0):
+    """The surface of ``values * scale`` agrees with the literal pair loop
+    on ``values``, in the default blocks of rows and in blocks of one,
+    two and three rows."""
+    literal = _literal_pass(values)
+    for rows in (None, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            if rows is not None:
+                patch.setattr(estimators, "_BLOCK_BYTES",
+                              8 * len(values) * rows)
+            surface = pass_covariance(_sample(values * scale))
+        assert np.max(np.abs(surface.matrix - literal)) <= 1e-12, rows
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(3, 12), n_points=st.integers(3, 20),
        seed=st.integers(0, 2 ** 32 - 1),
@@ -345,9 +359,7 @@ def test_pass_covariance_matches_literal_pair_loop(
     duplicate = base[picks[0] % n]
     near = base[picks[1] % n] + np.sqrt(near_rel * largest) * direction
     values = np.vstack([base, duplicate, near]) + offset
-    literal = _literal_pass(values)
-    surface = pass_covariance(_sample(values))
-    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+    _assert_matches_literal(values)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -370,9 +382,7 @@ def test_pass_covariance_gram_band_matches_literal_pair_loop(
         np.sqrt(n_points))
     values = np.vstack([base, far, near, base[picks[0] % n],
                         far[picks[1] % 2]]) + offset
-    literal = _literal_pass(values)
-    surface = pass_covariance(_sample(values))
-    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+    _assert_matches_literal(values)
 
 
 def _symmetric_pair_sample(cut, factor, rng):
@@ -417,9 +427,7 @@ def test_pass_covariance_at_the_cuts_matches_literal_pair_loop(cut, factor):
                                            np.random.default_rng(8))
     assert (ratio - 1.0) * (factor - 1.0) > 0.0
     assert abs(ratio - factor) < 1e-10
-    literal = _literal_pass(values)
-    surface = pass_covariance(_sample(values))
-    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+    _assert_matches_literal(values)
 
 
 def test_pass_covariance_exact_duplicates_match_literal_pair_loop():
@@ -429,9 +437,7 @@ def test_pass_covariance_exact_duplicates_match_literal_pair_loop():
     base = rng.standard_normal((8, 12))
     base[0] *= 1e3
     values = base[[0, 0, 0, 1, 2, 2, 3, 4, 5, 6, 7, 7]] + 1e4
-    literal = _literal_pass(values)
-    surface = pass_covariance(_sample(values))
-    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+    _assert_matches_literal(values)
 
 
 def test_pass_covariance_at_1e200_matches_literal_pair_loop():
@@ -441,9 +447,44 @@ def test_pass_covariance_at_1e200_matches_literal_pair_loop():
     base = rng.standard_normal((9, 10))
     base[0] *= 1e4
     values = np.vstack([base, base[3], base[4] + 1e-7 * base[5]])
-    literal = _literal_pass(values)
-    surface = pass_covariance(_sample(values * 1e200))
-    assert np.max(np.abs(surface.matrix - literal)) <= 1e-12
+    _assert_matches_literal(values, scale=1e200)
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_pass_covariance_near_the_median_matches_literal_pair_loop(factor):
+    # Three curves at the coordinatewise median (squared norm 0 after
+    # centring) and two near-median pairs (a, -a), (b, -b) whose squared
+    # distances are `factor` and 2 `factor` times the coincidence cut,
+    # all ahead of the largest pair (big, -big) in index order; then
+    # an exact duplicate and, far from the median, a pair (u + d, u - d)
+    # at `factor` times the cut.  A near-median pair's cuts are the
+    # coincidence cut, known only once the largest pair norm is.
+    rng = np.random.default_rng(30)
+    n_points = 12
+    spacing = 1.0 / n_points
+    base = rng.standard_normal((3, n_points))
+    big = 20.0 * rng.standard_normal(n_points)
+    u = 2.0 * rng.standard_normal(n_points)
+    w = rng.standard_normal((3, n_points))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    # The largest pair is (big, -big): its squared distance is 4 |big|^2.
+    cut = 1e-12 * 4.0 * (big @ big)
+    a = np.sqrt(factor * cut / 4.0) * w[0]
+    b = np.sqrt(2.0 * factor * cut / 4.0) * w[1]
+    d = np.sqrt(factor * cut / 4.0) * w[2]
+    pair = np.array([u + d, u - d])
+    values = np.vstack([np.zeros((3, n_points)), a, -a, b, -b, base, -base,
+                        base[0], -base[0], pair, -pair, big, -big])
+    assert not np.median(values, axis=0).any()
+    norms = {(i, j): spacing * np.sum((values[i] - values[j]) ** 2)
+             for i in range(len(values)) for j in range(i + 1, len(values))}
+    largest = max(norms.values())
+    assert largest == norms[len(values) - 2, len(values) - 1]
+    for i, j in ((3, 4), (15, 16)):
+        ratio = norms[i, j] / (1e-12 * largest)
+        assert (ratio - 1.0) * (factor - 1.0) > 0.0
+        assert abs(ratio - factor) < 1e-10
+    _assert_matches_literal(values)
 
 
 def test_pass_covariance_memory_estimate_covers_the_traced_peak(
@@ -462,12 +503,27 @@ def test_pass_covariance_memory_estimate_covers_the_traced_peak(
     assert peak <= estimate <= 1.25 * peak
 
 
+def test_pass_covariance_peak_has_no_n_squared_term():
+    # 4000 curves on 20 points: a whole n x n array of pair norms would
+    # be 128 MB; the blocked pass needs a few MB.
+    sample = _sample(np.random.default_rng(40).standard_normal((4000, 20)))
+    tracemalloc.start()
+    try:
+        pass_covariance(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_pass_covariance_fails_fast_on_huge_samples(monkeypatch):
-    # 100,000 curves need about 75 GiB of pair weights; the guard must
-    # refuse before allocating them.  Physical memory is pinned so the
-    # test cannot try the allocation on a machine that has that much.
-    monkeypatch.setattr(estimators, "_physical_memory", lambda: 16 * 2 ** 30)
-    sample = _sample(np.zeros((100_000, 2)))
+    # With physical memory pinned a byte below the guard's estimate for
+    # 2000 curves on 101 points, the guard must refuse before allocating
+    # anything of that size.
+    monkeypatch.setattr(
+        estimators, "_physical_memory",
+        lambda: estimators._pair_weight_bytes(2000, 101) - 1)
+    sample = _sample(np.zeros((2000, 101)))
     tracemalloc.start()
     try:
         with pytest.raises(SampleTooLargeError):
