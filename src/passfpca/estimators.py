@@ -58,16 +58,13 @@ _DEGENERATE_REL_TOL = 1e-12
 # factor at 1e3.
 _CLOSE_REL_TOL = 1e-3
 
-# Rows whose median-centred squared norm is below this fraction of the
-# largest lie near the median; the PASS pass takes them last.
-_NEAR_MEDIAN_REL_TOL = 1e-8
-
 # Pairs whose Gram norm is at or below this fraction of one curve's
 # median-centred squared norm are checked against the PASS band.
 _BAND_REL_TOL = 1e-2
 
-# Scratch bytes for one block of weight rows; a chunk of band pairs, with
-# its gathered rows and differences, takes an eighth of it.
+# Scratch bytes for one block of weight rows; a scan for band pairs and a
+# chunk of them, with its gathered rows and differences, take an eighth
+# of it each.
 _BLOCK_BYTES = 1 << 22
 
 # Absolute symmetry tolerance for covariance surfaces.
@@ -221,16 +218,28 @@ def _check_memory(n_bytes: int, what: str) -> None:
             f"than the {available / 2 ** 30:.1f} GiB of physical memory")
 
 
+def _pass_sizes(n: int, n_points: int) -> tuple[int, int, int]:
+    """:func:`pass_covariance`'s rows of pair norms a block, rows a scan
+    for band candidates, and band pairs a chunk, for ``n`` curves on
+    ``n_points``: a block takes ``_BLOCK_BYTES``, and a scan's indices
+    and a chunk's three rows of ``N`` floats a pair an eighth of it."""
+    rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+    return (rows, max(1, rows // 8),
+            max(1, _BLOCK_BYTES // (8 * 24 * n_points)))
+
+
 def _pair_weight_bytes(n: int, n_points: int) -> int:
     """Bytes :func:`pass_covariance` needs for ``n`` curves on
     ``n_points``: three ``n x N`` arrays (the scaled curves, the centred
-    curves and ``(D - W) X``); a block of squared pair norms, turned into
-    weights in place, and its band mask; and, during the pass, a block's
-    ``W X`` and the ``N x N`` sum, or, at its end, the surface with two
-    ``N x N`` temporaries; a chunk of band pairs' exact differences.
-    Only the band's indices, 40 bytes a pair in the band, come on top."""
-    rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
-    return (24 * n * n_points + 9 * rows * n + 24 * n + _BLOCK_BYTES // 8
+    curves and ``(D - W) X``) and three of ``n`` floats; a block of
+    squared pair norms, turned into weights in place; a scan's band
+    candidates, 8 bytes of index and 1 of mask an entry; a chunk of band
+    pairs, their gathered rows and about 128 bytes of scalars a pair;
+    and, during the pass, a block's ``W X`` and the ``N x N`` sum, or, at
+    its end, the surface with two ``N x N`` temporaries."""
+    rows, scan, pairs = _pass_sizes(n, n_points)
+    return (24 * n * n_points + 24 * n + 8 * rows * n + 9 * scan * n
+            + pairs * (24 * n_points + 128)
             + 8 * max(rows * n_points + n_points ** 2, 3 * n_points ** 2))
 
 
@@ -253,6 +262,36 @@ def _column_medians(values: np.ndarray) -> np.ndarray:
     middle = [(n - 1) // 2, n // 2]
     low, high = np.partition(values, middle, axis=0)[middle]
     return 0.5 * (low + high)
+
+
+def _gram_norms(centred: np.ndarray, radii: np.ndarray, spacing: float,
+                rows: slice, first: int, scratch: np.ndarray,
+                diagonal: float) -> np.ndarray:
+    """Squared norms of the pairs of curves ``rows`` and ``first:`` from
+    their Gram entries, written into ``scratch``; the pairs of a curve
+    with itself read ``diagonal``."""
+    block = scratch[:(rows.stop - rows.start) * (len(radii) - first)]
+    block = block.reshape(rows.stop - rows.start, len(radii) - first)
+    np.matmul(centred[rows], centred[first:].T, out=block)
+    block *= -2.0 * spacing
+    block += radii[rows, None]
+    block += radii[first:]
+    np.fill_diagonal(block[:, rows.start - first:], diagonal)
+    return block
+
+
+def _chunks_at_or_below(block: np.ndarray, bounds: np.ndarray,
+                        scan: int, size: int):
+    """Yield the flat indices of the entries of ``block`` at or below
+    their row's entry of ``bounds``, at most ``size`` at a time, scanning
+    ``scan`` rows at a time so that only their indices are held."""
+    n_cols = block.shape[1]
+    for lo in range(0, len(block), scan):
+        rows = slice(lo, lo + scan)
+        found = np.flatnonzero(block[rows] <= bounds[rows, None])
+        found += lo * n_cols
+        for start in range(0, found.size, size):
+            yield found[start:start + size]
 
 
 def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
@@ -295,39 +334,26 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     centred at the coordinatewise median, which keeps the bulk curves'
     norms small even when outliers shift the mean.
 
-    ``W`` is never held whole.  One pass over blocks of rows takes each
-    block's Gram rows into one reused scratch, turns them into squared
-    pair norms ``r_j + r_k - 2 <x_j, x_k>`` with ``r_j = ||x_j||^2``,
-    turns those into the block's weights in place and adds the block's
-    rows of ``(D - W) X``.  The Gram norms err by about
-    ``eps (r_j + r_k)``.  Pairs in the band where that error could decide
-    a cut, a Gram norm at or below ``4e-3 (r_j + r_k)`` or ``4e-12``
-    times the largest pair norm, get their norms from exact differences
-    instead, so both cuts read exact norms.  The Laplacian form also
-    cancels for a pair that is close next to its curves' norms, by a
-    factor of about ``(r_j + r_k) / ||d||^2``: a pair with
-    ``||d||^2 <= 1e-3 (r_j + r_k)`` is left out of ``W``, and its term
-    ``d d^T / ||d||^2`` is added directly from the same exact differences,
-    once, from the row of its first curve.  A band pair is met from both
-    of its rows, which compute the same exact norm.
-
-    One pass suffices although the largest pair norm, and with it the
-    coincidence cut, is known only at its end.  With ``R = max r_j``,
-    every pair norm is at most ``4 R``, and the median centring gives
-    ``R <= (n - 1)`` times the largest pair norm.  So:
-
-    - For a row with ``r_j >= 1e-8 R`` the close cut
-      ``1e-3 (r_j + r_k) >= 1e-11 R`` is above the coincidence cut, so
-      which of its pairs are in the band, close or far does not depend
-      on the coincidence cut.
-    - A pair of two rows below ``1e-8 R``, near the median, has a norm
-      below ``4e-8 R``, too small to be the largest for
-      ``n < 2.5e7``.  These rows go last, in index order, after the
-      largest norm is final; on most samples there are none.
-    - The few close pairs whose exact norm is at or below ``8e-12 R``,
-      which the coincidence cut may drop, wait until it is known.
-
-    The result agrees with the literal per-pair average to rounding.
+    ``W`` is never held whole.  Two passes over blocks of rows take each
+    block's Gram rows into one reused scratch and turn them into squared
+    pair norms ``r_j + r_k - 2 <x_j, x_k>`` with ``r_j = ||x_j||^2``.  The
+    first pass takes each block's pairs with the curves from its first on,
+    about half the Gram matrix in all, for the largest pair norm, which
+    fixes the coincidence cut.  The second turns each block into its
+    weights in place and adds the block's rows of ``(D - W) X``.  The
+    Gram norms err by about ``eps (r_j + r_k)``.  Pairs in the band where
+    that error could decide a cut, a Gram norm at or below
+    ``4e-3 (r_j + r_k)`` or ``4e-12`` times the largest pair norm, get
+    their norms from exact differences instead, so both cuts read exact
+    norms.  The Laplacian form also cancels for a pair that is close next
+    to its curves' norms, by a factor of about ``(r_j + r_k) / ||d||^2``:
+    a pair with ``||d||^2 <= 1e-3 (r_j + r_k)`` is left out of ``W``, and
+    its term ``d d^T / ||d||^2`` is added directly from the same exact
+    differences, once, from the row of its first curve.  A band pair is
+    met from both of its rows, which compute the same exact norm.  The
+    band's candidates are scanned a few rows at a time, so near-duplicate
+    curves, whose pairs all fall in the band, need no more memory.  The
+    result agrees with the literal per-pair average to rounding.
     """
     n = sample.n
     if n < 2:
@@ -341,99 +367,63 @@ def pass_covariance(sample: FunctionalSample) -> CovarianceSurface:
     spacing = sample.grid.spacing
     centred = values - _column_medians(values)
     radii = spacing * np.einsum("ij,ij->i", centred, centred)
-    largest = radii.max()
-    if largest <= 0.0:
+    rows_per_block, rows_per_scan, pairs_per_chunk = _pass_sizes(
+        n, n_points)
+    blocks = [slice(start, min(start + rows_per_block, n))
+              for start in range(0, n, rows_per_block)]
+    scratch = np.empty(rows_per_block * n)
+    # First pass: the largest pair norm, from each block's pairs with the
+    # curves from its first on, which meet every pair.
+    max_norm = 0.0
+    for rows in blocks:
+        block = _gram_norms(centred, radii, spacing, rows, rows.start,
+                            scratch, 0.0)
+        max_norm = max(max_norm, float(block.max()))
+    if max_norm <= 0.0:
         raise DegenerateSampleError(
             "all curve pairs are coincident; the pairwise covariance is "
             "undefined")
-    near = radii < _NEAR_MEDIAN_REL_TOL * largest
-    n_outer = n - int(np.count_nonzero(near))
-    if n_outer < n:
-        order = np.argsort(near, kind="stable")
-        values = values[order]
-        centred = centred[order]
-        radii = radii[order]
-    rows_per_block = min(n, max(1, _BLOCK_BYTES // (8 * n)))
-    scratch = np.empty((rows_per_block, n))
-    in_band = np.empty((rows_per_block, n), dtype=bool)
+    threshold = _DEGENERATE_REL_TOL * max_norm
     # A superset of each row's band: a pair in the band of the close cut
     # has r_k <= 1.2 r_j by Cauchy-Schwarz, so its norm is at most
-    # 8.8e-3 r_j; rows near the median add 4x the coincidence cut.
-    band_bound = _BAND_REL_TOL * radii
-    # A chunk of band pairs holds three rows of N floats a pair.
-    pairs_per_chunk = max(1, _BLOCK_BYTES // (8 * 24 * n_points))
+    # 8.8e-3 r_j; the band of the coincidence cut ends at 4x that cut.
+    band_bound = np.maximum(_BAND_REL_TOL * radii, 4.0 * threshold)
     laplacian_x = np.empty_like(centred)
     # The close pairs' terms, and then the surface.
     acc = np.zeros((n_points, n_points))
-    waiting = []
     n_far = n_close = 0
-    max_norm = 0.0
-    threshold = None
-    # Close pairs at or below `settle` wait for the coincidence cut, and
-    # rows take it as the floor of their cuts, once it is known.
-    floor, settle = 0.0, 8.0 * _DEGENERATE_REL_TOL * largest
-    for first_row, last_row in ((0, n_outer), (n_outer, n)):
-        if first_row == n_outer:
-            if max_norm <= 0.0:
-                raise DegenerateSampleError(
-                    "all curve pairs are coincident; the pairwise "
-                    "covariance is undefined")
-            threshold = _DEGENERATE_REL_TOL * max_norm
-            floor = settle = threshold
-            np.maximum(band_bound, 4.0 * threshold, out=band_bound)
-        for start in range(first_row, last_row, rows_per_block):
-            rows = slice(start, min(start + rows_per_block, last_row))
-            block = scratch[:rows.stop - start]
-            # Squared pair norms from the Gram rows; the diagonal is zero
-            # by definition, and then inf, which leaves it out of the band
-            # and of W.
-            np.matmul(centred[rows], centred.T, out=block)
-            block *= -2.0 * spacing
-            block += radii[rows, None]
-            block += radii
-            diagonal = block[:, rows]
-            np.fill_diagonal(diagonal, 0.0)
-            if threshold is None:
-                max_norm = max(max_norm, float(block.max()))
-            np.fill_diagonal(diagonal, np.inf)
-            mask = np.less_equal(block, band_bound[rows, None],
-                                 out=in_band[:len(block)])
-            first, second = np.nonzero(mask)
-            cut = np.maximum(
-                _CLOSE_REL_TOL * (radii[first + start] + radii[second]),
-                floor)
-            band = block[first, second] <= 4.0 * cut
-            first, second, cut = first[band], second[band], cut[band]
-            # Every pair outside the band is far above both cuts.
-            n_far += block.size - len(block) - first.size
-            for lo in range(0, first.size, pairs_per_chunk):
-                part = slice(lo, lo + pairs_per_chunk)
-                i, j = first[part] + start, second[part]
-                diff = values[i] - values[j]
-                exact = spacing * np.einsum("ij,ij->i", diff, diff)
-                far = exact > cut[part]
-                n_far += int(np.count_nonzero(far))
-                # A pair left out of W reads 1 / inf = 0 below.
-                block[first[part], j] = np.where(far, exact, np.inf)
-                # Each close pair once, from the row of its first curve.
-                close = ~far & (j > i) & (exact > floor)
-                wait = close & (exact <= settle)
-                if wait.any():
-                    waiting.append((i[wait], j[wait], exact[wait]))
-                close &= ~wait
-                n_close += int(np.count_nonzero(close))
-                diff = diff[close]
-                acc += (diff / exact[close][:, None]).T @ diff
-            np.reciprocal(block, out=block)
-            # (D - W) X, so each row's cancellation happens in one vector.
-            lap = laplacian_x[rows]
-            np.multiply(block.sum(axis=1)[:, None], centred[rows], out=lap)
-            lap -= block @ centred
-    for i, j, exact in waiting:
-        keep = exact > threshold
-        n_close += int(np.count_nonzero(keep))
-        diff = values[i[keep]] - values[j[keep]]
-        acc += (diff / exact[keep][:, None]).T @ diff
+    # Second pass: each block's weights and rows of (D - W) X.  The
+    # diagonal reads inf, which leaves it out of the band and of W.
+    for rows in blocks:
+        block = _gram_norms(centred, radii, spacing, rows, 0, scratch,
+                            np.inf)
+        flat = block.reshape(-1)
+        # Every pair outside the band is far above both cuts.
+        n_far += block.size - len(block)
+        for part in _chunks_at_or_below(block, band_bound[rows],
+                                        rows_per_scan, pairs_per_chunk):
+            i, j = np.divmod(part, n)
+            i += rows.start
+            cut = np.maximum(_CLOSE_REL_TOL * (radii[i] + radii[j]),
+                             threshold)
+            band = flat[part] <= 4.0 * cut
+            part, i, j, cut = part[band], i[band], j[band], cut[band]
+            diff = values[i] - values[j]
+            exact = spacing * np.einsum("ij,ij->i", diff, diff)
+            far = exact > cut
+            n_far -= part.size - int(np.count_nonzero(far))
+            # A pair left out of W reads 1 / inf = 0 below.
+            flat[part] = np.where(far, exact, np.inf)
+            # Each close pair once, from the row of its first curve.
+            close = ~far & (j > i) & (exact > threshold)
+            n_close += int(np.count_nonzero(close))
+            diff = diff[close]
+            acc += (diff / exact[close][:, None]).T @ diff
+        np.reciprocal(block, out=block)
+        # (D - W) X, so each row's cancellation happens in one vector.
+        lap = laplacian_x[rows]
+        np.multiply(block.sum(axis=1)[:, None], centred[rows], out=lap)
+        lap -= block @ centred
     # Each far pair was counted from both of its rows.
     retained = n_far // 2 + n_close
     acc += centred.T @ laplacian_x

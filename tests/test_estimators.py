@@ -503,6 +503,32 @@ def test_pass_covariance_memory_estimate_covers_the_traced_peak(
     assert peak <= estimate <= 1.25 * peak
 
 
+@pytest.mark.parametrize("noise", [1e-13, 1e-5])
+def test_pass_covariance_memory_estimate_covers_near_duplicate_clusters(
+        monkeypatch, noise):
+    # Two clusters of 600 copies of a and -a, jittered by `noise` times
+    # |a|^2 in squared norm: every pair within a cluster is in the band,
+    # coincident at 1e-13 and close at 1e-5, so the band's indices and
+    # exact differences are as many as they can be.
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal(101)
+    values = np.where(np.arange(1200)[:, None] < 600, a, -a)
+    values = values + np.sqrt(noise * (a @ a) / 101) * rng.standard_normal(
+        values.shape)
+    sample = _sample(values)
+    estimates = []
+    monkeypatch.setattr(estimators, "_check_memory",
+                        lambda n_bytes, what: estimates.append(n_bytes))
+    tracemalloc.start()
+    try:
+        pass_covariance(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [estimate] = estimates
+    assert peak <= estimate
+
+
 def test_pass_covariance_peak_has_no_n_squared_term():
     # 4000 curves on 20 points: a whole n x n array of pair norms would
     # be 128 MB; the blocked pass needs a few MB.
